@@ -23,7 +23,6 @@ from .classify import Regime, RegimeReport
 from .config import ConfigError, RunConfig, load_config
 from .params import (
     BrushParams,
-    Forcing,
     MotorParams,
     RobotParams,
     ValidationError,
@@ -44,7 +43,6 @@ __all__ = [
     "BrushParams",
     "MotorParams",
     "RobotParams",
-    "Forcing",
     "forcing_at",
     "ValidationError",
     "Regime1Prediction",

@@ -53,9 +53,6 @@ def classify(
     brush: BrushParams,
     motor: MotorParams,
     robot: RobotParams,
-    *,
-    bandwidth_margin: float = BANDWIDTH_MARGIN,
-    alpha_margin_limit: float = ALPHA_MARGIN_LIMIT,
 ) -> RegimeReport:
     """Classify the operating regime of a validated parameter set."""
     lift_ratio = motor.force_amplitude / robot.weight
@@ -63,8 +60,8 @@ def classify(
     stiffness_score = motor.speed / omega_n
     alpha_margin = math.pi / 2.0 - brush.inclination
 
-    fast_drive = stiffness_score > 1.0 + bandwidth_margin
-    near_vertical = alpha_margin < alpha_margin_limit
+    fast_drive = stiffness_score > 1.0 + BANDWIDTH_MARGIN
+    near_vertical = alpha_margin < ALPHA_MARGIN_LIMIT
 
     rationale = []
     if lift_ratio > 1.0:
@@ -81,7 +78,7 @@ def classify(
         rationale.append(
             f"(i) motor speed {motor.speed:.6g} rad/s exceeds the brush "
             f"bandwidth {omega_n:.6g} rad/s by more than "
-            f"{bandwidth_margin:.0%}: stiff-brush behavior"
+            f"{BANDWIDTH_MARGIN:.0%}: stiff-brush behavior"
         )
     rationale.append(
         f"(ii) pivot inertia {robot.pivot_inertia:.6g} kg*m^2 "
@@ -89,7 +86,7 @@ def classify(
     )
     if near_vertical:
         rationale.append(
-            f"(iii) inclination within {alpha_margin_limit:.6g} rad of "
+            f"(iii) inclination within {ALPHA_MARGIN_LIMIT:.6g} rad of "
             f"vertical: near-straight brushes favor rigid rotation"
         )
 

@@ -170,8 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run configuration file")
     common.add_argument("--json", action="store_true",
                         help="emit a single JSON object instead of a table")
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="output file (simulate-r2 trajectory, sweep CSV)")
+    writes_file = argparse.ArgumentParser(add_help=False)
+    writes_file.add_argument("--out", metavar="PATH", default=None,
+                             help="output file (simulate-r2 trajectory, sweep CSV)")
 
     parser = argparse.ArgumentParser(
         prog="brushdyn",
@@ -180,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     commands.add_parser("predict-r1", parents=[common],
                         help="flexible-brush closed-form prediction table")
-    commands.add_parser("simulate-r2", parents=[common],
+    commands.add_parser("simulate-r2", parents=[common, writes_file],
                         help="rigid-pivot hybrid simulation to a trajectory file")
     commands.add_parser("classify", parents=[common],
                         help="operating-regime report")
-    commands.add_parser("sweep", parents=[common],
+    commands.add_parser("sweep", parents=[common, writes_file],
                         help="parameter sweep to a CSV file")
     return parser
 

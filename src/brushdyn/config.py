@@ -2,13 +2,15 @@
 
 Flat sectioned key=value text (configparser syntax). Every key is checked
 against the schema and unknown keys are fatal: a silently ignored typo in a
-physics parameter is worse than a hard error.
+physics parameter is worse than a hard error. The keys of [brush], [motor],
+[robot] and [sim] are the fields of their parameter types: fields without a
+default are required, the others optional.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .params import BrushParams, MotorParams, RobotParams
 from .regime2 import SimConfig
@@ -19,28 +21,13 @@ class ConfigError(ValueError):
     """The configuration file is structurally broken."""
 
 
-_BRUSH_KEYS = {
-    "young_modulus",
-    "second_area_moment",
-    "length",
-    "inclination",
-    "brush_mass",
+# Parameter sections and the type each builds; [sweep] is parsed on its own.
+_SECTIONS = {
+    "brush": BrushParams,
+    "motor": MotorParams,
+    "robot": RobotParams,
+    "sim": SimConfig,
 }
-_MOTOR_KEYS = {"eccentric_mass", "eccentricity", "speed"}
-_ROBOT_REQUIRED = {
-    "body_mass",
-    "pivot_inertia",
-    "forcing_arm",
-    "gravity_arm",
-    "step_height",
-}
-_ROBOT_OPTIONAL = {"gravity"}
-_SIM_REQUIRED = {"t_end", "dt"}
-_SIM_OPTIONAL = {"theta0", "record_stride"}
-_SWEEP_REQUIRED = {"parameter", "objective"}
-_SWEEP_OPTIONAL = {"grid", "start", "stop", "points", "spacing"}
-
-_SECTIONS = ("brush", "motor", "robot", "sim", "sweep")
 
 
 @dataclass(frozen=True)
@@ -65,69 +52,41 @@ def _check_keys(section: str, present: set[str], required: set[str], optional: s
         )
 
 
-def _as_float(section: str, key: str, raw: str) -> float:
+def _number(section: str, key: str, raw: str, integer: bool = False) -> float | int:
     try:
-        return float(raw)
+        return int(raw) if integer else float(raw)
     except ValueError:
+        kind = "an integer" if integer else "a number"
         raise ConfigError(
-            f"value {raw!r} for {key!r} in [{section}] is not a number"
+            f"value {raw!r} for {key!r} in [{section}] is not {kind}"
         ) from None
 
 
-def _as_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"value {raw!r} for {key!r} in [{section}] is not an integer"
-        ) from None
-
-
-def _build_brush(items: dict[str, str]) -> BrushParams:
-    _check_keys("brush", set(items), _BRUSH_KEYS, set())
-    return BrushParams(
-        young_modulus=_as_float("brush", "young_modulus", items["young_modulus"]),
-        second_area_moment=_as_float(
-            "brush", "second_area_moment", items["second_area_moment"]
-        ),
-        length=_as_float("brush", "length", items["length"]),
-        inclination=_as_float("brush", "inclination", items["inclination"]),
-        brush_mass=_as_float("brush", "brush_mass", items["brush_mass"]),
+def _build(section: str, cls: type, items: dict[str, str]):
+    """An instance of cls from its section's items, converted in field order."""
+    schema = fields(cls)
+    _check_keys(
+        section,
+        set(items),
+        {f.name for f in schema if f.default is MISSING},
+        {f.name for f in schema if f.default is not MISSING},
     )
-
-
-def _build_motor(items: dict[str, str]) -> MotorParams:
-    _check_keys("motor", set(items), _MOTOR_KEYS, set())
-    return MotorParams(
-        eccentric_mass=_as_float("motor", "eccentric_mass", items["eccentric_mass"]),
-        eccentricity=_as_float("motor", "eccentricity", items["eccentricity"]),
-        speed=_as_float("motor", "speed", items["speed"]),
-    )
-
-
-def _build_robot(items: dict[str, str]) -> RobotParams:
-    _check_keys("robot", set(items), _ROBOT_REQUIRED, _ROBOT_OPTIONAL)
-    kwargs = {key: _as_float("robot", key, items[key]) for key in _ROBOT_REQUIRED}
-    if "gravity" in items:
-        kwargs["gravity"] = _as_float("robot", "gravity", items["gravity"])
-    return RobotParams(**kwargs)
-
-
-def _build_sim(items: dict[str, str]) -> SimConfig:
-    _check_keys("sim", set(items), _SIM_REQUIRED, _SIM_OPTIONAL)
-    kwargs = {
-        "t_end": _as_float("sim", "t_end", items["t_end"]),
-        "dt": _as_float("sim", "dt", items["dt"]),
-    }
-    if "theta0" in items:
-        kwargs["theta0"] = _as_float("sim", "theta0", items["theta0"])
-    if "record_stride" in items:
-        kwargs["record_stride"] = _as_int("sim", "record_stride", items["record_stride"])
-    return SimConfig(**kwargs)
+    # Field types are annotation strings: the parameter modules postpone
+    # annotation evaluation.
+    return cls(**{
+        f.name: _number(section, f.name, items[f.name], integer=f.type == "int")
+        for f in schema
+        if f.name in items
+    })
 
 
 def _build_sweep(items: dict[str, str]) -> SweepSpec:
-    _check_keys("sweep", set(items), _SWEEP_REQUIRED, _SWEEP_OPTIONAL)
+    _check_keys(
+        "sweep",
+        set(items),
+        {"parameter", "objective"},
+        {"grid", "start", "stop", "points", "spacing"},
+    )
     parameter = items["parameter"]
     objective = items["objective"]
     range_keys = {"start", "stop", "points"} & set(items)
@@ -137,7 +96,7 @@ def _build_sweep(items: dict[str, str]) -> SweepSpec:
                 "[sweep] takes either grid= or start/stop/points, not both"
             )
         values = [
-            _as_float("sweep", "grid", part)
+            _number("sweep", "grid", part)
             for part in items["grid"].split(",")
             if part.strip()
         ]
@@ -149,9 +108,9 @@ def _build_sweep(items: dict[str, str]) -> SweepSpec:
     return SweepSpec.from_range(
         parameter=parameter,
         objective=objective,
-        start=_as_float("sweep", "start", items["start"]),
-        stop=_as_float("sweep", "stop", items["stop"]),
-        points=_as_int("sweep", "points", items["points"]),
+        start=_number("sweep", "start", items["start"]),
+        stop=_number("sweep", "stop", items["stop"]),
+        points=_number("sweep", "points", items["points"], integer=True),
         spacing=items.get("spacing", "linear"),
     )
 
@@ -170,16 +129,17 @@ def load_config(path: str) -> RunConfig:
     if parser.defaults():
         raise ConfigError("[DEFAULT] section is not supported")
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SECTIONS and section != "sweep":
             raise ConfigError(f"unknown section [{section}]")
 
     def items(section: str) -> dict[str, str]:
         return {key: value.strip() for key, value in parser.items(section)}
 
-    return RunConfig(
-        brush=_build_brush(items("brush")) if parser.has_section("brush") else None,
-        motor=_build_motor(items("motor")) if parser.has_section("motor") else None,
-        robot=_build_robot(items("robot")) if parser.has_section("robot") else None,
-        sim=_build_sim(items("sim")) if parser.has_section("sim") else None,
-        sweep=_build_sweep(items("sweep")) if parser.has_section("sweep") else None,
-    )
+    built = {
+        section: _build(section, cls, items(section))
+        for section, cls in _SECTIONS.items()
+        if parser.has_section(section)
+    }
+    if parser.has_section("sweep"):
+        built["sweep"] = _build_sweep(items("sweep"))
+    return RunConfig(**built)

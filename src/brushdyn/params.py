@@ -115,24 +115,6 @@ class RobotParams:
         return self.body_mass * self.gravity
 
 
-@dataclass(frozen=True)
-class Forcing:
-    """Centrifugal force of the rotating mass, F(t) = m*omega^2*r*sin(omega*t)."""
-
-    motor: MotorParams
-
-    @property
-    def amplitude(self) -> float:
-        return self.motor.force_amplitude
-
-    @property
-    def period(self) -> float:
-        return self.motor.period
-
-    def at(self, t: float) -> float:
-        return self.amplitude * math.sin(self.motor.speed * t)
-
-
 def forcing_at(motor: MotorParams, t: float) -> float:
     """Centrifugal force m*omega^2*r*sin(omega*t) at time t, in N."""
     return motor.force_amplitude * math.sin(motor.speed * t)

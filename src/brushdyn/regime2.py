@@ -99,11 +99,6 @@ def net_moment(robot: RobotParams, motor: MotorParams, t: float) -> float:
     )
 
 
-def lift_off_condition(robot: RobotParams, motor: MotorParams, t: float) -> bool:
-    """True when a body at rest on the ground starts rotating upward."""
-    return net_moment(robot, motor, t) > 0.0
-
-
 def _rk4_step(
     t: float,
     theta: float,
@@ -334,10 +329,3 @@ def ground_speed(robot: RobotParams, motor: MotorParams, theta_hat: float) -> fl
     """Small-angle speed estimate, v_r = omega*h*theta_hat/(2*pi)."""
     _check_peak_domain(theta_hat)
     return motor.speed * robot.step_height * theta_hat / (2.0 * math.pi)
-
-
-def ground_speed_exact(
-    robot: RobotParams, motor: MotorParams, theta_hat: float
-) -> float:
-    """Speed without the small-angle shortcut, omega*h*sin(theta_hat)/(2*pi)."""
-    return motor.speed * step_displacement(robot, theta_hat) / (2.0 * math.pi)

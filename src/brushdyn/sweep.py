@@ -16,21 +16,45 @@ from typing import Callable, NamedTuple
 from . import regime1, regime2
 from .params import BrushParams, MotorParams, RobotParams, ValidationError
 
-PARAMETERS = ("omega", "alpha", "l", "EI", "M_b")
-OBJECTIVES = ("v_r_regime1", "v_r_regime2", "forced_amplitude_abs", "k_theta")
-
 STATUS_OK = "ok"
 STATUS_RESONANCE = "resonance_guard"
 STATUS_MODEL_DOMAIN = "model_domain"
 STATUS_NO_CYCLES = "no_cycles"
 STATUS_INVALID = "invalid"
 
-_GRID_DOMAIN: dict[str, Callable[[float], bool]] = {
-    "omega": lambda v: v > 0.0,
-    "alpha": lambda v: 0.0 < v < math.pi / 2.0,
-    "l": lambda v: v > 0.0,
-    "EI": lambda v: v > 0.0,
-    "M_b": lambda v: v > 0.0,
+
+def _positive(value: float) -> bool:
+    return value > 0.0
+
+
+# Sweep parameter name -> (grid domain, apply(value, brush, motor) giving the
+# brush and motor at that grid value).
+PARAMETERS: dict[str, tuple[Callable[[float], bool], Callable]] = {
+    "omega": (_positive, lambda v, b, m: (b, replace(m, speed=v))),
+    "alpha": (
+        lambda v: 0.0 < v < math.pi / 2.0,
+        lambda v, b, m: (replace(b, inclination=v), m),
+    ),
+    "l": (_positive, lambda v, b, m: (replace(b, length=v), m)),
+    "EI": (
+        _positive,
+        lambda v, b, m: (replace(b, young_modulus=v / b.second_area_moment), m),
+    ),
+    "M_b": (_positive, lambda v, b, m: (replace(b, brush_mass=v), m)),
+}
+
+
+def _v_r_regime2(brush, motor, robot, sim) -> float:
+    traj = regime2.simulate(robot, motor, sim)
+    return regime2.ground_speed(robot, motor, regime2.peak_angle(traj))
+
+
+# Objective name -> f(brush, motor, robot, sim).
+OBJECTIVES: dict[str, Callable[..., float]] = {
+    "v_r_regime1": lambda b, m, *_: regime1.ground_speed(b, m),
+    "v_r_regime2": _v_r_regime2,
+    "forced_amplitude_abs": lambda b, m, *_: abs(regime1.forced_amplitude(b, m)),
+    "k_theta": lambda b, *_: regime1.lumped_stiffness(b),
 }
 
 
@@ -57,7 +81,7 @@ class SweepSpec:
             raise ValidationError("sweep grid must contain at least one value")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValidationError("sweep grid must be strictly increasing")
-        domain = _GRID_DOMAIN[self.parameter]
+        domain, _ = PARAMETERS[self.parameter]
         for value in self.grid:
             if not domain(value):
                 raise ValidationError(
@@ -110,22 +134,6 @@ class SweepResult:
     argmax: float | None
 
 
-def _apply_parameter(
-    parameter: str, value: float, brush: BrushParams, motor: MotorParams
-) -> tuple[BrushParams, MotorParams]:
-    if parameter == "omega":
-        return brush, replace(motor, speed=value)
-    if parameter == "alpha":
-        return replace(brush, inclination=value), motor
-    if parameter == "l":
-        return replace(brush, length=value), motor
-    if parameter == "EI":
-        return replace(brush, young_modulus=value / brush.second_area_moment), motor
-    if parameter == "M_b":
-        return replace(brush, brush_mass=value), motor
-    raise ValidationError(f"unknown sweep parameter {parameter!r}")
-
-
 def _make_objective(
     spec: SweepSpec,
     brush: BrushParams,
@@ -138,16 +146,11 @@ def _make_objective(
             "objective v_r_regime2 needs robot and sim parameters"
         )
 
+    _, apply = PARAMETERS[spec.parameter]
+    objective = OBJECTIVES[spec.objective]
+
     def evaluate(value: float) -> float:
-        b, m = _apply_parameter(spec.parameter, value, brush, motor)
-        if spec.objective == "v_r_regime1":
-            return regime1.ground_speed(b, m)
-        if spec.objective == "forced_amplitude_abs":
-            return abs(regime1.forced_amplitude(b, m))
-        if spec.objective == "k_theta":
-            return regime1.lumped_stiffness(b)
-        traj = regime2.simulate(robot, m, sim)
-        return regime2.ground_speed(robot, m, regime2.peak_angle(traj))
+        return objective(*apply(value, brush, motor), robot, sim)
 
     return evaluate
 

@@ -2,13 +2,22 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
-from brushdyn import BrushParams, MotorParams, load_config, regime1
+from brushdyn import (
+    BrushParams,
+    MotorParams,
+    RobotParams,
+    SimConfig,
+    load_config,
+    regime1,
+)
 from brushdyn.cli import main
 from brushdyn.config import ConfigError
 
@@ -38,6 +47,23 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def readme_config_table():
+    """section -> [(key, stated default or None)] from the README table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("### Config sections", 1)[1]
+    rows = {}
+    for section, keys in re.findall(r"^\| `(\w+)` *\| (.*) \|$", table, re.M):
+        rows[section] = [
+            (key, default or None)
+            for key, default in re.findall(r"`(\w+)`(?: \(default ([^)]+)\))?", keys)
+        ]
+    return rows
 
 
 class TestConfigParsing:
@@ -107,6 +133,44 @@ class TestConfigParsing:
         }
         cfg = load_config(write_config(tmp_path, sections))
         assert cfg.sweep.grid == (100.0, 200.0, 300.0)
+
+    def test_bad_values_reported_in_field_order(self, tmp_path):
+        # several bad values: the first field is named, whatever the hash seed
+        path = write_config(tmp_path, {"robot": {key: "x" for key in ROBOT_SECTION}})
+        code = (
+            "import sys\n"
+            "from brushdyn.config import ConfigError, load_config\n"
+            "try:\n"
+            "    load_config(sys.argv[1])\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
+        )
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", code, path],
+                capture_output=True,
+                text=True,
+                env=dict(SRC_ENV, PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("0", "1", "2")
+        }
+        assert messages == {"value 'x' for 'body_mass' in [robot] is not a number\n"}
+
+    def test_readme_table_matches_schema(self):
+        table = readme_config_table()
+        for section, cls in [
+            ("brush", BrushParams),
+            ("motor", MotorParams),
+            ("robot", RobotParams),
+            ("sim", SimConfig),
+        ]:
+            schema = fields(cls)
+            assert [key for key, _ in table[section]] == [f.name for f in schema]
+            for (_, stated), f in zip(table[section], schema):
+                if f.default is MISSING:
+                    assert stated is None, f.name
+                else:
+                    assert float(stated) == f.default, f.name
 
 
 class TestPredictR1:
@@ -408,24 +472,30 @@ class TestSweepCommand:
 class TestEntryPoint:
     def test_python_dash_m(self, tmp_path):
         path = write_config(tmp_path, FULL)
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
             [sys.executable, "-m", "brushdyn", "predict-r1", "--config", path, "--json"],
             capture_output=True,
             text=True,
-            env=env,
+            env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["regime1_valid"] is True
 
     def test_unknown_command_exits_2(self, tmp_path):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
             [sys.executable, "-m", "brushdyn", "explode"],
             capture_output=True,
             text=True,
-            env=env,
+            env=SRC_ENV,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command", ["predict-r1", "classify"])
+    def test_out_rejected_where_unused(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, FULL)
+        out = tmp_path / "unused.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out.exists()

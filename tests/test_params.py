@@ -8,7 +8,6 @@ import pytest
 
 from brushdyn import (
     BrushParams,
-    Forcing,
     MotorParams,
     RobotParams,
     ValidationError,
@@ -137,11 +136,3 @@ class TestForcing:
             times = list(np.linspace(0.0, period, 2001)) + [period / 4.0]
             peak = max(abs(forcing_at(motor, t)) for t in times)
             assert peak == pytest.approx(motor.force_amplitude, rel=1e-9)
-
-    def test_forcing_view_matches_motor(self):
-        motor = MotorParams(1e-3, 2e-3, 300.0)
-        forcing = Forcing(motor)
-        assert forcing.amplitude == motor.force_amplitude
-        assert forcing.period == motor.period
-        for t in (0.0, 0.01, 0.2):
-            assert forcing.at(t) == forcing_at(motor, t)

@@ -437,3 +437,11 @@ class TestPredict:
         omega_n = regime1.natural_frequency(brush)
         with pytest.raises(ResonanceError):
             regime1.predict(brush, MotorParams(1e-3, 2e-3, omega_n))
+
+    def test_overswing_warns_once(self):
+        # E = 2e5 Pa: the stick-phase angle far exceeds the inclination
+        soft = BrushParams(2e5, 1e-12, 0.02, 0.6, 1e-3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            regime1.predict(soft, MotorParams(1e-3, 2e-3, 300.0))
+        assert [w.category for w in caught] == [BrushGeometryWarning]
