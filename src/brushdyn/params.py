@@ -8,7 +8,7 @@ threads or parallel sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,6 +20,14 @@ class ValidationError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValidationError(message)
+
+
+def require_finite(params) -> None:
+    """Reject an inf or nan float in any field of a parameter dataclass."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        bad = isinstance(value, float) and not math.isfinite(value)
+        _require(not bad, f"{field.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -40,6 +48,7 @@ class BrushParams:
     brush_mass: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         _require(self.young_modulus > 0.0, "young_modulus must be > 0")
         _require(self.second_area_moment > 0.0, "second_area_moment must be > 0")
         _require(self.length > 0.0, "length must be > 0")
@@ -66,6 +75,7 @@ class MotorParams:
     speed: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         _require(self.eccentric_mass >= 0.0, "eccentric_mass must be >= 0")
         _require(self.eccentricity >= 0.0, "eccentricity must be >= 0")
         _require(self.speed > 0.0, "speed must be > 0")
@@ -102,6 +112,7 @@ class RobotParams:
     gravity: float = 9.81
 
     def __post_init__(self) -> None:
+        require_finite(self)
         _require(self.body_mass > 0.0, "body_mass must be > 0")
         _require(self.gravity > 0.0, "gravity must be > 0")
         _require(self.pivot_inertia > 0.0, "pivot_inertia must be > 0")

@@ -8,18 +8,23 @@ next rises through zero. The rising-edge trigger (rather than releasing the
 instant the moment is positive) keeps impact chains from re-launching at a
 drifting phase, so the stick-slip pattern locks to the forcing. Each completed
 lift-off/touchdown cycle advances the robot by h*sin(peak angle of that cycle).
+
+The solver is exact and event-driven: theta_ddot = c_f*sin(omega*t) - c_g
+depends on time only, so flights have a closed form, and every lift-off from
+rest is at the forcing phase asin(c_g/c_f), so all flights from rest are one
+flight shifted by whole periods. dt only sets the sampling grid. Limit: this
+holds only while the moments do not depend on theta (fixed moment arms).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from .params import MotorParams, RobotParams, ValidationError, forcing_at
+from .params import TWO_PI, MotorParams, RobotParams, ValidationError
+from .params import forcing_at, require_finite
 
-# Touchdown location tolerance on |theta|, rad.
-TOUCHDOWN_TOL = 1e-10
 # Body angles beyond this break the single-pivot geometry.
 MAX_BODY_ANGLE = math.pi / 2.0
 # Flights shorter than this fraction of the forcing period are boundary
@@ -37,7 +42,7 @@ class NoCompletedCycleError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step integration window.
+    """Simulation window and its sampling grid.
 
     t_end          s, must cover at least 5 forcing periods
     dt             s, must not exceed T/200 of the motor period
@@ -45,7 +50,8 @@ class SimConfig:
     record_stride  grid samples kept every this many steps (touchdown
                    samples are always kept)
 
-    The time grid is t_k = k*dt up to the last full step inside t_end.
+    The window ends at the last grid point t_k = k*dt inside t_end. dt sets
+    where the exact solution is sampled, not its accuracy.
     """
 
     t_end: float
@@ -54,6 +60,7 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.t_end > 0.0:
             raise ValidationError("t_end must be > 0")
         if not self.dt > 0.0:
@@ -99,93 +106,105 @@ def net_moment(robot: RobotParams, motor: MotorParams, t: float) -> float:
     )
 
 
-def _rk4_step(
-    t: float,
-    theta: float,
-    vel: float,
-    h: float,
-    c_force: float,
-    c_grav: float,
-    omega: float,
-) -> tuple[float, float]:
-    # Classical RK4; the angular acceleration depends on time only, so the
-    # two middle stages coincide and three forcing evaluations suffice.
-    a1 = c_force * math.sin(omega * t) - c_grav
-    a2 = c_force * math.sin(omega * (t + 0.5 * h)) - c_grav
-    a3 = c_force * math.sin(omega * (t + h)) - c_grav
-    theta_new = theta + h * vel + h * h / 6.0 * (a1 + 2.0 * a2)
-    vel_new = vel + h / 6.0 * (a1 + 4.0 * a2 + a3)
-    return theta_new, vel_new
-
-
-def _locate_touchdown(
-    t0: float,
-    theta: float,
-    vel: float,
-    h: float,
-    c_force: float,
-    c_grav: float,
-    omega: float,
-) -> tuple[float, float]:
-    """Bisect the RK4 substep size for the downward zero crossing of theta.
-
-    Returns (substep, highest theta seen); theta(substep) is within
-    TOUCHDOWN_TOL of zero unless the interval collapses to float resolution
-    first.
-    """
-    if abs(theta) <= TOUCHDOWN_TOL:
-        return 0.0, theta
-    lo, hi = 0.0, h
-    peak = theta
-    for _ in range(200):
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """The end of [lo, hi] on f(hi)'s side of zero after halving to float
+    resolution; f(lo) and f(hi) lie on opposite sides (f > 0 or f <= 0)."""
+    above = f(lo) > 0.0
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break
-        th_mid, _ = _rk4_step(t0, theta, vel, mid, c_force, c_grav, omega)
-        if th_mid > peak:
-            peak = th_mid
-        if abs(th_mid) <= TOUCHDOWN_TOL:
-            return mid, peak
-        if th_mid > 0.0:
+            return hi
+        if (f(mid) > 0.0) == above:
             lo = mid
         else:
             hi = mid
-    return hi, peak
 
 
-def _locate_crossing(
-    t_lo: float, t_hi: float, predicate: Callable[[float], bool]
-) -> float:
-    """Bisect the earliest time in (t_lo, t_hi] where predicate flips true.
+class _Flight:
+    """Closed-form flight from (theta0, rate 0) at forcing phase psi0; s is
+    the time since lift-off."""
 
-    predicate(t_lo) must be false and predicate(t_hi) true.
-    """
-    lo, hi = t_lo, t_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    def __init__(self, c_force, c_grav, omega, psi0, theta0):
+        self.c_force, self.c_grav, self.omega = c_force, c_grav, omega
+        self.psi0, self.theta0, self.sin0 = psi0, theta0, math.sin(psi0)
+        self.rate0 = c_force / omega * math.cos(psi0)
+        self.swing = c_force / omega**2
+
+    def state(self, s: float) -> tuple[float, float, float]:
+        """(theta, theta_dot, theta_ddot), theta rounded up to >= 0."""
+        accel = self.c_force * math.sin(self.psi0 + self.omega * s) - self.c_grav
+        return max(self.theta(s), 0.0), self.rate(s), accel
+
+    def theta(self, s: float) -> float:
+        lag = math.sin(self.psi0 + self.omega * s) - self.sin0
+        return self.theta0 + (self.rate0 - 0.5 * self.c_grav * s) * s - self.swing * lag
+
+    def rate(self, s: float) -> float:
+        cos = math.cos(self.psi0 + self.omega * s)
+        return self.rate0 - self.c_force / self.omega * cos - self.c_grav * s
+
+    def land(self, lift_off: float, limit: float) -> tuple[float, list[float]]:
+        """Touchdown time (math.inf if airborne at ``limit``) and the times
+        of the maxima of theta before it, each bisected in a bracket where
+        it is the only root: theta_ddot changes sign only at the phases rise
+        and pi - rise, and theta is monotone between zeros of theta_dot.
+        """
+        lifts = self.c_grav < self.c_force  # else theta_ddot <= 0: one bracket
+        rise = math.asin(self.c_grav / self.c_force) if lifts else 0.0
+        humps: list[float] = []
+        p, index = 0.0, 0 if self.psi0 < rise else 1  # the first turn after psi0
+        while p < limit:
+            q = limit
+            if lifts:
+                phase = (rise, math.pi - rise)[index % 2] + TWO_PI * (index // 2)
+                q = min(q, (phase - self.psi0) / self.omega)
+                index += 1
+            v_p, v_q = self.rate(p), self.rate(q)
+            if v_p > 0.0 > v_q or v_p < 0.0 < v_q:
+                pieces = ((_bisect(self.rate, p, q), v_p > 0.0), (q, v_q > 0.0))
+            else:
+                pieces = ((q, v_p > 0.0 or v_q > 0.0),)
+            for q, rising in pieces:  # theta is monotone on [p, q]
+                angle = self.theta(q)
+                if not rising and angle <= 0.0:
+                    return _bisect(self.theta, p, q), humps
+                if rising and angle > MAX_BODY_ANGLE:
+                    raise ModelDomainError(
+                        f"body angle {angle:.6g} rad exceeds pi/2 at "
+                        f"t = {lift_off + q:.6g} s"
+                    )
+                if rising and self.rate(q) <= 0.0:
+                    humps.append(q)
+                p = q
+        return math.inf, humps
 
 
-def simulate(
-    robot: RobotParams, motor: MotorParams, cfg: SimConfig
-) -> Regime2Trajectory:
-    """Integrate the pivot rotation with ground contact over [0, t_end].
+def _steps(cfg: SimConfig) -> int:
+    return math.floor(cfg.t_end / cfg.dt + 1e-9)
 
-    Fixed-step explicit 4th-order integration while airborne; touchdown is
-    located by bisection inside the crossing step, after which the state is
-    reset to rest and held until the net moment next rises through zero
-    (it must drop non-positive before a new lift can trigger). The robot
-    position x jumps by h*sin(cycle peak) at every touchdown.
 
-    Raises ValidationError when dt or t_end violate the resolution guards
-    and ModelDomainError if the body angle exceeds pi/2.
-    """
+def _cycle(flight, lift_off, landing, end, dt, period) -> tuple:
+    """(lift_off, touchdown, peak, flight); touchdown is math.inf if the
+    flight is airborne at the window end, peak None unless it counts."""
+    duration, humps = landing
+    touchdown = lift_off + duration
+    if touchdown > end:
+        return lift_off, math.inf, None, flight
+    if duration < _MIN_FLIGHT_FRACTION * period:
+        return lift_off, touchdown, None, flight
+    # theta at the grid points next to a hump can round above the root-found
+    # value; taking them in keeps every sample at or below the peak.
+    peak = flight.theta0
+    for hump in humps:
+        peak = max(peak, flight.theta(hump))
+        k = math.floor((lift_off + hump) / dt)
+        for t in (k * dt, (k + 1) * dt):
+            if lift_off < t < touchdown:
+                peak = max(peak, flight.theta(t - lift_off))
+    return lift_off, touchdown, peak, flight
+
+
+def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     period = motor.period
     if cfg.dt > period / 200.0:
         raise ValidationError(
@@ -196,122 +215,90 @@ def simulate(
             f"t_end {cfg.t_end:.6g} below five forcing periods {5.0 * period:.6g} s"
         )
 
-    omega = motor.speed
+    omega, dt = motor.speed, cfg.dt
     c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
     c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
-    step_height = robot.step_height
-    dt = cfg.dt
-    stride = cfg.record_stride
-    n_steps = int(math.floor(cfg.t_end / dt + 1e-9))
-    min_flight = _MIN_FLIGHT_FRACTION * period
+    end = _steps(cfg) * dt
+    cycles, at_rest = [], 0.0
+    if cfg.theta0 > 0.0:
+        flight = _Flight(c_force, c_grav, omega, 0.0, cfg.theta0)
+        cycles.append(_cycle(flight, 0.0, flight.land(0.0, end), end, dt, period))
+        at_rest = cycles[0][1]
+    if not (c_grav < c_force and at_rest < end):
+        return cycles  # no lift-off from rest inside the window
 
-    def accel(t: float) -> float:
-        return c_force * math.sin(omega * t) - c_grav
+    # Lift-offs from rest sit on the rising zeros (2*pi*k + rise)/omega of the
+    # net moment, each the first at or after the body came to rest.
+    rise = math.asin(c_grav / c_force)
+    k = max(0, math.ceil((omega * at_rest - rise) / TWO_PI))
+    lift_off = (TWO_PI * k + rise) / omega
+    flight = _Flight(c_force, c_grav, omega, rise, 0.0)
+    landing = flight.land(lift_off, end - lift_off) if lift_off < end else None
+    while lift_off < end:
+        cycles.append(_cycle(flight, lift_off, landing, end, dt, period))
+        if cycles[-1][1] == math.inf:
+            break
+        k += max(1, math.ceil(landing[0] * omega / TWO_PI))
+        lift_off = (TWO_PI * k + rise) / omega
+    return cycles
 
-    samples: list[Sample] = []
-    peaks: list[float] = []
-    events: list[FlightEvent] = []
 
-    x = 0.0
-    theta = cfg.theta0
-    vel = 0.0
-    airborne = theta > 0.0
-    # A rest state only releases on a rising edge of the net moment: it must
-    # be non-positive first ("armed"), then cross into positive.
-    armed = accel(0.0) <= 0.0
-    flight_start = 0.0
-    flight_peak = theta if airborne else 0.0
+def cycle_peaks(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> tuple:
+    """``simulate(robot, motor, cfg).cycle_peaks`` without sampling the flights."""
+    # a list, not a generator: on CPython 3.11 one per call raised peak RSS
+    return tuple([c[2] for c in _cycles(robot, motor, cfg) if c[2] is not None])
 
-    samples.append(Sample(0.0, theta, vel, accel(0.0) if airborne else 0.0, x))
 
-    for k in range(n_steps):
-        step_end = (k + 1) * dt
-        tau = k * dt
-        spins = 0
-        while True:
-            spins += 1
-            if spins > 100000:
-                raise RuntimeError("contact event cascade did not terminate")
-            if airborne:
-                h = step_end - tau
-                th_new, v_new = _rk4_step(tau, theta, vel, h, c_force, c_grav, omega)
-                if th_new > 0.0:
-                    theta, vel = th_new, v_new
-                    if theta > flight_peak:
-                        flight_peak = theta
-                    if theta > MAX_BODY_ANGLE:
-                        raise ModelDomainError(
-                            f"body angle {theta:.6g} rad exceeds pi/2 at "
-                            f"t = {step_end:.6g} s"
-                        )
-                    break
-                sub, seen = _locate_touchdown(
-                    tau, theta, vel, h, c_force, c_grav, omega
-                )
-                if seen > flight_peak:
-                    flight_peak = seen
-                if flight_peak > MAX_BODY_ANGLE:
-                    raise ModelDomainError(
-                        f"body angle {flight_peak:.6g} rad exceeds pi/2 near "
-                        f"t = {tau + sub:.6g} s"
-                    )
-                touchdown = tau + sub
-                theta = vel = 0.0
-                airborne = False
-                armed = accel(touchdown) <= 0.0
-                if touchdown - flight_start >= min_flight:
-                    x += step_height * math.sin(flight_peak)
-                    peaks.append(flight_peak)
-                    events.append(FlightEvent(flight_start, touchdown))
-                    if touchdown > samples[-1].t:
-                        samples.append(Sample(touchdown, 0.0, 0.0, 0.0, x))
-                # else: lift-off at the moment boundary re-touching at once is
-                # a numerical artifact, not a cycle
-                tau = touchdown
-                if tau >= step_end:
-                    break
-            elif not armed:
-                if accel(step_end) > 0.0:
-                    tau = step_end
-                    break
-                tau = _locate_crossing(tau, step_end, lambda t: accel(t) <= 0.0)
-                armed = True
-                if tau >= step_end:
-                    break
-            else:
-                if accel(step_end) <= 0.0:
-                    tau = step_end
-                    break
-                lift = _locate_crossing(tau, step_end, lambda t: accel(t) > 0.0)
-                airborne = True
-                flight_start = lift
-                flight_peak = 0.0
-                theta = vel = 0.0
-                tau = lift
-                if tau >= step_end:
-                    break
+def simulate(
+    robot: RobotParams, motor: MotorParams, cfg: SimConfig
+) -> Regime2Trajectory:
+    """Solve the pivot rotation with ground contact over [0, t_end].
 
-        if (k + 1) % stride == 0 and step_end > samples[-1].t:
-            if airborne:
-                samples.append(Sample(step_end, theta, vel, accel(step_end), x))
-            else:
-                samples.append(Sample(step_end, 0.0, 0.0, 0.0, x))
+    Flights are exact; a touchdown resets the state to rest until the next
+    rising zero of the net moment. Samples are the closed form at every
+    record_stride-th grid point t_k = k*dt, plus a rest sample at each
+    completed touchdown, where x steps by h*sin(cycle peak). A flight still
+    airborne at the window end is not a cycle.
 
+    Raises ValidationError when dt or t_end violate the resolution guards
+    and ModelDomainError if the body angle exceeds pi/2 inside the window.
+    """
+    cycles = _cycles(robot, motor, cfg)
+    dt, stride, steps = cfg.dt, cfg.record_stride, _steps(cfg)
+    x, samples, k = 0.0, [], 0
+    after = (math.inf, math.inf, None, None)  # samples the grid after the last cycle
+    for lift_off, touchdown, peak, flight in cycles + [after]:
+        while k <= steps and k * dt < touchdown:
+            t = k * dt
+            k += stride
+            if samples and t <= samples[-1].t:
+                continue  # a touchdown sample already stands here
+            state = (0.0,) * 3 if t < lift_off else flight.state(t - lift_off)
+            samples.append(Sample(t, *state, x))
+        if peak is not None:
+            x += robot.step_height * math.sin(peak)
+            samples.append(Sample(touchdown, 0.0, 0.0, 0.0, x))
+
+    counted = [c for c in cycles if c[2] is not None]
     return Regime2Trajectory(
         samples=tuple(samples),
-        cycle_peaks=tuple(peaks),
-        events=tuple(events),
+        cycle_peaks=tuple([c[2] for c in counted]),
+        events=tuple([FlightEvent(c[0], c[1]) for c in counted]),
     )
 
 
-def peak_angle(traj: Regime2Trajectory) -> float:
-    """Largest cycle peak over the steady portion (last half of the cycles)."""
-    peaks = traj.cycle_peaks
+def steady_peak(peaks: Sequence[float]) -> float:
+    """Largest of the steady cycle peaks (the last half of them)."""
     if not peaks:
         raise NoCompletedCycleError(
             "trajectory has no completed lift-off/touchdown cycle"
         )
     return max(peaks[len(peaks) // 2:])
+
+
+def peak_angle(traj: Regime2Trajectory) -> float:
+    """Largest cycle peak over the steady portion (last half of the cycles)."""
+    return steady_peak(traj.cycle_peaks)
 
 
 def _check_peak_domain(theta_hat: float) -> None:

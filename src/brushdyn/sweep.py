@@ -45,8 +45,8 @@ PARAMETERS: dict[str, tuple[Callable[[float], bool], Callable]] = {
 
 
 def _v_r_regime2(brush, motor, robot, sim) -> float:
-    traj = regime2.simulate(robot, motor, sim)
-    return regime2.ground_speed(robot, motor, regime2.peak_angle(traj))
+    peaks = regime2.cycle_peaks(robot, motor, sim)
+    return regime2.ground_speed(robot, motor, regime2.steady_peak(peaks))
 
 
 # Objective name -> f(brush, motor, robot, sim).

@@ -1,8 +1,9 @@
 """Shared test resources: parameter generators and independent oracles.
 
 The oracles deliberately take different numerical routes than the library
-(exact rational series, collocation BVP solves, closed-form flight integrals)
-so that agreement actually means something.
+(exact rational series, collocation BVP solves, and fixed-step RK4 time
+stepping with bisection for the rigid regime, whose library solver is the
+exact event-driven closed form) so that agreement actually means something.
 """
 
 from __future__ import annotations
@@ -141,33 +142,76 @@ def bvp_deflection(brush: BrushParams, force: float, positions) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closed-form flight for the pivot-rotation model (exact double integral)
+# time-stepping oracle for the pivot-rotation model (RK4 plus bisection)
 
-def flight_closed_form(robot: RobotParams, motor: MotorParams,
-                       t0: float, theta0: float = 0.0, v0: float = 0.0):
-    """Exact airborne solution of the pivot rotation from a lift-off state.
+def rk4_hybrid(robot: RobotParams, motor: MotorParams, t_end: float, dt: float):
+    """Integrate the hybrid pivot rotation from rest by fixed-step RK4.
 
-    theta_ddot = a*sin(omega*t) - b integrates in closed form; returns
-    (theta(t), theta_dot(t)) callables valid while the body stays airborne.
+    Independent route to the library's closed-form, event-driven solver:
+    classical RK4 while airborne, touchdown located by bisecting the RK4
+    substep, and release from rest at the rising edge of the net moment
+    located by bisection in time. Plastic touchdowns reset theta and its
+    rate to zero. Returns (cycle_peaks, events, samples): the largest theta
+    at the steps of each completed flight, its (lift_off_time,
+    touchdown_time), and (t, theta, theta_dot) at every step k*dt.
     """
     a = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
     b = robot.weight * robot.gravity_arm / robot.pivot_inertia
     w = motor.speed
-    cos0 = math.cos(w * t0)
-    sin0 = math.sin(w * t0)
 
-    def theta(t: float) -> float:
-        d = t - t0
+    def accel(t):
+        return a * math.sin(w * t) - b
+
+    def rk4(t, theta, vel, h):
+        a1, a2, a3 = accel(t), accel(t + 0.5 * h), accel(t + h)
         return (
-            theta0
-            + v0 * d
-            + (a / w) * cos0 * d
-            - (a / (w * w)) * (math.sin(w * t) - sin0)
-            - 0.5 * b * d * d
+            theta + h * vel + h * h / 6.0 * (a1 + 2.0 * a2),
+            vel + h / 6.0 * (a1 + 4.0 * a2 + a3),
         )
 
-    def theta_dot(t: float) -> float:
-        d = t - t0
-        return v0 + (a / w) * (cos0 - math.cos(w * t)) - b * d
+    def first_true(lo, hi, predicate):
+        # earliest point of (lo, hi] where predicate holds; predicate(hi) does
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                return hi
+            if predicate(mid):
+                hi = mid
+            else:
+                lo = mid
 
-    return theta, theta_dot
+    peaks, events, samples = [], [], [(0.0, 0.0, 0.0)]
+    theta = vel = peak = lift = 0.0
+    airborne = False
+    armed = accel(0.0) <= 0.0
+    for k in range(math.floor(t_end / dt + 1e-9)):
+        tau, end = k * dt, (k + 1) * dt
+        while tau < end:
+            if airborne:
+                th, v = rk4(tau, theta, vel, end - tau)
+                if th > 0.0:
+                    theta, vel, tau = th, v, end
+                    peak = max(peak, theta)
+                    continue
+                start, th0, v0 = tau, theta, vel
+                tau += first_true(
+                    0.0, end - start, lambda h: rk4(start, th0, v0, h)[0] <= 0.0
+                )
+                peaks.append(peak)
+                events.append((lift, tau))
+                theta = vel = 0.0
+                airborne = False
+                armed = accel(tau) <= 0.0
+            elif not armed:
+                if accel(end) > 0.0:
+                    break
+                tau = first_true(tau, end, lambda t: accel(t) <= 0.0)
+                armed = True
+            else:
+                if accel(end) <= 0.0:
+                    break
+                lift = tau = first_true(tau, end, lambda t: accel(t) > 0.0)
+                airborne = True
+                peak = 0.0
+        samples.append((end, theta, vel) if airborne else (end, 0.0, 0.0))
+    return peaks, events, samples

@@ -32,9 +32,9 @@ from helpers import (
     ROBOT_SECTION,
     SIM_SECTION,
     config_text,
-    flight_closed_form,
     random_brush,
     random_motor,
+    rk4_hybrid,
 )
 
 # 1,000 random beam load cases shared by criteria 1 and 2
@@ -162,13 +162,20 @@ def _random_regime2_case(rng):
     raise AssertionError("could not sample a usable rigid-regime case")
 
 
-def _check_flights_against_closed_form(traj, robot, motor):
+def _check_against_rk4(traj, robot, motor, cfg, refine=10):
+    """Samples inside each flight to 1e-8 rad and cycle peaks to 1e-4 rad
+    against RK4 plus bisection at dt/refine (grid point k is oracle step
+    refine*k)."""
+    peaks, _, oracle = rk4_hybrid(robot, motor, cfg.t_end, cfg.dt / refine)
+    assert len(traj.cycle_peaks) == len(peaks)
+    assert max(abs(a - b) for a, b in zip(traj.cycle_peaks, peaks)) <= 1e-4
     checked = 0
     for event in traj.events:
-        theta_fn, _ = flight_closed_form(robot, motor, event.lift_off_time)
         for s in traj.samples:
             if event.lift_off_time < s.t < event.touchdown_time:
-                assert abs(s.theta - theta_fn(s.t)) <= 1e-8
+                t, theta, _ = oracle[refine * round(s.t / cfg.dt)]
+                assert abs(t - s.t) <= 1e-9 * cfg.dt
+                assert abs(s.theta - theta) <= 1e-8
                 checked += 1
     assert checked > 0
 
@@ -178,37 +185,20 @@ def test_criterion_5_rigid_regime_oracles():
 
     robot = RobotParams(**REFERENCE_ROBOT)
     motor = MotorParams(**REFERENCE_MOTOR)
-    coarse = regime2.simulate(robot, motor, SimConfig(t_end=0.5, dt=1e-4))
-    _check_flights_against_closed_form(coarse, robot, motor)
-    fine = regime2.simulate(
-        robot, motor, SimConfig(t_end=0.5, dt=1e-6, record_stride=1000)
-    )
-    assert len(coarse.cycle_peaks) == len(fine.cycle_peaks)
-    worst = max(
-        abs(a - b) for a, b in zip(coarse.cycle_peaks, fine.cycle_peaks)
-    )
-    assert worst <= 1e-4
+    cfg = SimConfig(t_end=0.5, dt=1e-4)
+    _check_against_rk4(regime2.simulate(robot, motor, cfg), robot, motor, cfg)
 
     rng = np.random.default_rng(55)
     for _ in range(10):
         robot, motor, cfg, traj = _random_regime2_case(rng)
-        _check_flights_against_closed_form(traj, robot, motor)
-        fine_cfg = SimConfig(
-            t_end=cfg.t_end, dt=motor.period / 20000.0, record_stride=1000
-        )
-        fine = regime2.simulate(robot, motor, fine_cfg)
-        assert len(traj.cycle_peaks) == len(fine.cycle_peaks)
-        worst = max(
-            abs(a - b) for a, b in zip(traj.cycle_peaks, fine.cycle_peaks)
-        )
-        assert worst <= 1e-4
+        _check_against_rk4(traj, robot, motor, cfg)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     print(
-        f"criterion 5 PASS: integrator matches the exact flight integral to "
-        f"1e-8 rad and dt/100 peaks to 1e-4 rad on the reference plus 10 "
-        f"random sets ({elapsed:.2f}s)"
+        f"criterion 5 PASS: exact solver matches RK4 plus bisection at dt/10 "
+        f"to 1e-8 rad along every flight and 1e-4 rad in every cycle peak on "
+        f"the reference plus 10 random sets ({elapsed:.2f}s)"
     )
 
 

@@ -499,3 +499,27 @@ class TestEntryPoint:
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNonFiniteValues:
+    # 1e400 parses to inf; every command must refuse it as a config error
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [
+            ("predict-r1", "brush", "brush_mass"),
+            ("classify", "brush", "brush_mass"),
+            ("predict-r1", "motor", "speed"),
+            ("classify", "motor", "speed"),
+            ("simulate-r2", "sim", "t_end"),
+        ],
+    )
+    def test_overflowing_value_exits_2(self, tmp_path, capsys, command, section, key):
+        sections = {**FULL, section: {**FULL[section], key: "1e400"}}
+        path = write_config(tmp_path, sections)
+        argv = [command, "--config", path]
+        if command == "simulate-r2":
+            argv += ["--out", str(tmp_path / "traj.txt")]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {key} must be finite\n"

@@ -10,6 +10,7 @@ from brushdyn import (
     BrushParams,
     MotorParams,
     RobotParams,
+    SimConfig,
     ValidationError,
     forcing_at,
 )
@@ -49,6 +50,26 @@ class TestBrushValidation:
         b = BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)
         with pytest.raises(dataclasses.FrozenInstanceError):
             b.length = 0.05
+
+
+class TestFiniteValues:
+    @pytest.mark.parametrize(
+        "cls, good",
+        [
+            (BrushParams, dict(young_modulus=2e9, second_area_moment=1e-12,
+                               length=0.02, inclination=0.6, brush_mass=1e-3)),
+            (MotorParams, dict(eccentric_mass=1e-3, eccentricity=2e-3, speed=300.0)),
+            (RobotParams, dict(body_mass=0.05, pivot_inertia=2e-5, forcing_arm=0.03,
+                               gravity_arm=0.003, step_height=0.04, gravity=9.81)),
+            (SimConfig, dict(t_end=0.5, dt=1e-4, theta0=0.0)),
+        ],
+    )
+    def test_inf_and_nan_rejected_in_every_field(self, cls, good):
+        cls(**good)
+        for field in good:
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValidationError, match=f"{field} must be finite"):
+                    cls(**{**good, field: bad})
 
 
 class TestMotorValidation:

@@ -14,7 +14,7 @@ from brushdyn.regime2 import (
     Sample,
 )
 
-from helpers import REFERENCE_PEAK, flight_closed_form, reference_motor, reference_robot
+from helpers import REFERENCE_PEAK, reference_motor, reference_robot, rk4_hybrid
 
 
 def quiet_motor(speed=300.0):
@@ -197,36 +197,108 @@ class TestSimulateReference:
             REFERENCE_PEAK, abs=1e-4
         )
 
-    def test_airborne_segments_match_closed_form(
+    def test_airborne_segments_match_rk4_oracle(
         self, reference_trajectory, reference_robot, reference_motor
     ):
+        # RK4 at a tenth of the library's grid step: library grid point k is
+        # oracle step 10*k
+        _, _, oracle = rk4_hybrid(reference_robot, reference_motor, 0.5, 1e-5)
         checked = 0
         for event in reference_trajectory.events:
-            theta_fn, vel_fn = flight_closed_form(
-                reference_robot, reference_motor, event.lift_off_time
-            )
             for s in reference_trajectory.samples:
                 if event.lift_off_time < s.t < event.touchdown_time:
-                    assert s.theta == pytest.approx(theta_fn(s.t), abs=1e-8)
-                    assert s.theta_dot == pytest.approx(vel_fn(s.t), abs=1e-7)
+                    t, theta, theta_dot = oracle[10 * round(s.t / 1e-4)]
+                    assert t == pytest.approx(s.t, abs=1e-15)
+                    assert s.theta == pytest.approx(theta, abs=1e-8)
+                    assert s.theta_dot == pytest.approx(theta_dot, abs=1e-7)
                     checked += 1
         assert checked > 100
 
 
-class TestConvergence:
-    def test_peaks_converge_under_step_halving(self, reference_robot, reference_motor):
-        def peaks_at(dt):
-            cfg = SimConfig(t_end=0.25, dt=dt, record_stride=1000)
-            return regime2.simulate(reference_robot, reference_motor, cfg).cycle_peaks
+class TestSamplingGrid:
+    def test_events_and_peaks_do_not_depend_on_dt(
+        self, reference_robot, reference_motor
+    ):
+        runs = [
+            regime2.simulate(
+                reference_robot,
+                reference_motor,
+                SimConfig(t_end=0.25, dt=dt, record_stride=1000),
+            )
+            for dt in (1e-4, 5e-5, 2.5e-5)
+        ]
+        coarse = runs[0]
+        assert len(coarse.events) >= 5
+        for run in runs[1:]:
+            assert len(run.events) == len(coarse.events)
+            for a, b in zip(run.events, coarse.events):
+                assert a.lift_off_time == pytest.approx(b.lift_off_time, abs=1e-12)
+                assert a.touchdown_time == pytest.approx(b.touchdown_time, abs=1e-12)
+            for a, b in zip(run.cycle_peaks, coarse.cycle_peaks):
+                assert a == pytest.approx(b, abs=1e-12)
 
-        coarse = peaks_at(1e-4)
-        half = peaks_at(5e-5)
-        quarter = peaks_at(2.5e-5)
-        assert len(coarse) == len(half) == len(quarter)
-        first = max(abs(a - b) for a, b in zip(coarse, half))
-        second = max(abs(a - b) for a, b in zip(half, quarter))
-        assert second <= 4.0 * first + 1e-15
-        assert second <= 1e-6
+    def test_peak_scales_as_forcing_over_omega_squared(self, reference_robot):
+        # theta'' = c_f*(sin(omega*t) - rho): at fixed rho the flight is
+        # (c_f/omega^2) times one dimensionless flight, whatever the speed
+        weight_moment = reference_robot.weight * reference_robot.gravity_arm
+        rho = 0.3
+        scaled = []
+        for speed in (150.0, 300.0, 700.0, 2000.0):
+            eccentric_mass = weight_moment / (
+                rho * speed**2 * 2e-3 * reference_robot.forcing_arm
+            )
+            motor = MotorParams(eccentric_mass, 2e-3, speed)
+            c_force = (
+                motor.force_amplitude
+                * reference_robot.forcing_arm
+                / reference_robot.pivot_inertia
+            )
+            cfg = SimConfig(t_end=6.0 * motor.period, dt=motor.period / 200.0)
+            traj = regime2.simulate(reference_robot, motor, cfg)
+            scaled.append(regime2.peak_angle(traj) * speed**2 / c_force)
+        for value in scaled[1:]:
+            assert value == pytest.approx(scaled[0], rel=1e-9)
+
+
+class TestWindow:
+    def test_flight_airborne_at_window_end_is_not_a_cycle(self, reference_robot):
+        # a 0.5 rad fall lasts sqrt(2*0.5/c_g) ~ 0.117 s
+        motor = quiet_motor()
+        short = SimConfig(t_end=0.11, dt=1e-4, theta0=0.5)
+        traj = regime2.simulate(reference_robot, motor, short)
+        assert not traj.events and not traj.cycle_peaks
+        assert all(s.theta > 0.0 and s.x == 0.0 for s in traj.samples)
+        long = SimConfig(t_end=0.12, dt=1e-4, theta0=0.5)
+        assert len(regime2.simulate(reference_robot, motor, long).events) == 1
+
+    def test_domain_error_only_inside_the_window(self):
+        # no gravity moment and c_f = 2000 rad/s^2 at 300 rad/s: theta ratchets
+        # up as ~(c_f/omega)*t and passes pi/2 between 0.232 s and 0.239 s
+        robot = RobotParams(0.05, 2e-5, 0.03, 0.0, 0.04)
+        eccentricity = 2000.0 * robot.pivot_inertia / (1e-3 * 300.0**2 * 0.03)
+        motor = MotorParams(1e-3, eccentricity, 300.0)
+        traj = regime2.simulate(robot, motor, SimConfig(t_end=0.2, dt=1e-4))
+        assert not traj.cycle_peaks
+        assert max(s.theta for s in traj.samples) < math.pi / 2
+        with pytest.raises(ModelDomainError, match="exceeds pi/2"):
+            regime2.simulate(robot, motor, SimConfig(t_end=0.3, dt=1e-4))
+
+    def test_lift_off_after_initial_fall_locks_to_forcing_phase(
+        self, reference_robot, reference_motor
+    ):
+        cfg = SimConfig(t_end=0.5, dt=1e-4, theta0=0.05)
+        traj = regime2.simulate(reference_robot, reference_motor, cfg)
+        first, *rest = traj.events
+        assert first.lift_off_time == 0.0
+        assert rest and rest[0].lift_off_time >= first.touchdown_time
+        rise = math.asin(
+            reference_robot.weight
+            * reference_robot.gravity_arm
+            / (reference_motor.force_amplitude * reference_robot.forcing_arm)
+        )
+        for event in rest:
+            phase = event.lift_off_time * reference_motor.speed % (2.0 * math.pi)
+            assert phase == pytest.approx(rise, abs=1e-9)
 
 
 class TestModelDomain:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from brushdyn import BrushParams, MotorParams, SimConfig, regime1
+from brushdyn import BrushParams, MotorParams, RobotParams, SimConfig, regime1, regime2
 from brushdyn.params import ValidationError
 from brushdyn.regime1 import BrushGeometryWarning
 from brushdyn.sweep import (
@@ -13,6 +13,7 @@ from brushdyn.sweep import (
     STATUS_NO_CYCLES,
     STATUS_OK,
     STATUS_RESONANCE,
+    OBJECTIVES,
     SweepSpec,
     golden_section_max,
     refine_peak,
@@ -134,6 +135,63 @@ class TestRunSweep:
         result = run_sweep(spec, brush, motor, robot, sim)
         assert result.rows[0].status == STATUS_INVALID
         assert result.rows[1].status == STATUS_OK
+
+    def test_regime2_objective_equals_simulate(self, brush):
+        # the sweep objective skips the trajectory but must give the same
+        # number, bit for bit, or fail with the same exception
+        rng = np.random.default_rng(31)
+        robot = reference_robot()
+        lift = math.sqrt(
+            robot.weight * robot.gravity_arm / (1e-3 * 2e-3 * robot.forcing_arm)
+        )
+        runaway = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04)
+        cases = [
+            (robot, MotorParams(1e-3, 2e-3, 0.9 * lift), 0.0),  # below lift-off
+            (runaway, MotorParams(0.01, 0.01, 300.0), 0.0),  # tips over
+            (robot, reference_motor(), 0.2),  # first flight from theta0 > 0
+        ]
+        for _ in range(20):
+            drawn = RobotParams(
+                body_mass=10 ** rng.uniform(-2.0, -0.5),
+                pivot_inertia=10 ** rng.uniform(-5.5, -4.0),
+                forcing_arm=rng.uniform(0.01, 0.06),
+                gravity_arm=rng.uniform(0.0, 0.008),
+                step_height=rng.uniform(0.01, 0.08),
+            )
+            motor = MotorParams(
+                10 ** rng.uniform(-3.5, -2.5), 10 ** rng.uniform(-3.2, -2.2),
+                rng.uniform(150.0, 600.0),
+            )
+            theta0 = rng.uniform(0.0, 0.3) if rng.random() < 0.3 else 0.0
+            cases.append((drawn, motor, theta0))
+
+        def outcome(f):
+            try:
+                return f()
+            except Exception as exc:  # noqa: BLE001 - compared by class
+                return type(exc)
+
+        seen = set()
+        for robot, motor, theta0 in cases:
+            period = motor.period
+            sim = SimConfig(
+                t_end=period * rng.uniform(5.0, 12.0),
+                dt=period / rng.uniform(200.0, 400.0),
+                theta0=theta0,
+            )
+            expected = outcome(
+                lambda: regime2.ground_speed(
+                    robot,
+                    motor,
+                    regime2.peak_angle(regime2.simulate(robot, motor, sim)),
+                )
+            )
+            got = outcome(lambda: OBJECTIVES["v_r_regime2"](brush, motor, robot, sim))
+            assert repr(got) == repr(expected)
+            seen.add(expected if isinstance(expected, type) else float)
+        assert seen >= {
+            float, regime2.NoCompletedCycleError, regime2.ModelDomainError
+        }
 
     def test_regime2_objective_needs_robot_and_sim(self, brush, motor):
         spec = SweepSpec("omega", "v_r_regime2", (100.0, 300.0))
