@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Four subcommands over a shared config file. Exit codes: 0 success,
-2 config or validation problem, 3 resonance guard, 4 model-domain abort.
+2 config or validation problem (arithmetic overflow included), 3 resonance
+guard, 4 model-domain abort.
 All output is deterministic: the same config produces byte-identical
 results on every run.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import classify as classify_mod
@@ -42,7 +44,16 @@ def _require_sections(cfg: RunConfig, *names: str) -> None:
             raise ConfigError(f"missing [{name}] section in config")
 
 
+def _require_finite(pairs: list[tuple[str, object]]) -> None:
+    """Refuse a result that overflowed to inf or nan before printing any of
+    it: JSON cannot carry one, and the table form exits the same way."""
+    for name, value in pairs:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise OverflowError(f"{name} is {value!r}")
+
+
 def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
+    _require_finite(pairs)
     if as_json:
         print(json.dumps(dict(pairs), allow_nan=False))
     else:
@@ -80,10 +91,13 @@ def cmd_simulate_r2(args: argparse.Namespace) -> int:
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(TRAJECTORY_HEADER + "\n")
-        for s in traj.samples:
-            handle.write(
-                f"{s.t!r} {s.theta!r} {s.theta_dot!r} {s.theta_ddot!r} {s.x!r}\n"
-            )
+        # x changes only at touchdowns (simulate reuses one float object
+        # between them), so its text is formatted once per cycle.
+        last_x = x_text = None
+        for t, theta, theta_dot, theta_ddot, x in traj.samples:
+            if x is not last_x:
+                last_x, x_text = x, repr(x)
+            handle.write(f"{t!r} {theta!r} {theta_dot!r} {theta_ddot!r} {x_text}\n")
 
     cycles = len(traj.cycle_peaks)
     peak = regime2.peak_angle(traj) if cycles else None
@@ -105,24 +119,20 @@ def cmd_classify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _require_sections(cfg, "brush", "motor", "robot")
     report = classify_mod.classify(cfg.brush, cfg.motor, cfg.robot)
+    scores = [
+        ("lift_ratio", report.lift_ratio),
+        ("stiffness_score", report.stiffness_score),
+        ("alpha_margin", report.alpha_margin),
+    ]
+    _require_finite(scores)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "regime": report.regime.value,
-                    "lift_ratio": report.lift_ratio,
-                    "stiffness_score": report.stiffness_score,
-                    "alpha_margin": report.alpha_margin,
-                    "rationale": list(report.rationale),
-                },
-                allow_nan=False,
-            )
-        )
+        payload = {"regime": report.regime.value, **dict(scores),
+                   "rationale": list(report.rationale)}
+        print(json.dumps(payload, allow_nan=False))
     else:
         print(f"regime: {report.regime.value}")
-        print(f"lift_ratio: {report.lift_ratio!r}")
-        print(f"stiffness_score: {report.stiffness_score!r}")
-        print(f"alpha_margin: {report.alpha_margin!r}")
+        for name, value in scores:
+            print(f"{name}: {value!r}")
         print("rationale:")
         for line in report.rationale:
             print(f"  {line}")
@@ -196,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as exc:
+        print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except regime1.ResonanceError as exc:
         print(f"error: resonance: {exc}", file=sys.stderr)

@@ -50,8 +50,9 @@ class SimConfig:
     record_stride  grid samples kept every this many steps (touchdown
                    samples are always kept)
 
-    The window ends at the last grid point t_k = k*dt inside t_end. dt sets
-    where the exact solution is sampled, not its accuracy.
+    The window ends at the last grid point t_k = k*dt inside t_end, so
+    t_end / dt must be finite. dt sets where the exact solution is sampled,
+    not its accuracy.
     """
 
     t_end: float
@@ -65,6 +66,8 @@ class SimConfig:
             raise ValidationError("t_end must be > 0")
         if not self.dt > 0.0:
             raise ValidationError("dt must be > 0")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValidationError("t_end / dt must be finite")
         if not 0.0 <= self.theta0 < MAX_BODY_ANGLE:
             raise ValidationError("theta0 out of [0, pi/2)")
         if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
@@ -129,11 +132,6 @@ class _Flight:
         self.psi0, self.theta0, self.sin0 = psi0, theta0, math.sin(psi0)
         self.rate0 = c_force / omega * math.cos(psi0)
         self.swing = c_force / omega**2
-
-    def state(self, s: float) -> tuple[float, float, float]:
-        """(theta, theta_dot, theta_ddot), theta rounded up to >= 0."""
-        accel = self.c_force * math.sin(self.psi0 + self.omega * s) - self.c_grav
-        return max(self.theta(s), 0.0), self.rate(s), accel
 
     def theta(self, s: float) -> float:
         lag = math.sin(self.psi0 + self.omega * s) - self.sin0
@@ -256,28 +254,47 @@ def simulate(
 
     Flights are exact; a touchdown resets the state to rest until the next
     rising zero of the net moment. Samples are the closed form at every
-    record_stride-th grid point t_k = k*dt, plus a rest sample at each
-    completed touchdown, where x steps by h*sin(cycle peak). A flight still
-    airborne at the window end is not a cycle.
+    record_stride-th grid point t_k = k*dt (exact zeros at rest, theta
+    rounded up to >= 0 in flight), plus a rest sample at each completed
+    touchdown, where x steps by h*sin(cycle peak) and which stands for a grid
+    point at the same time. No sampled theta exceeds its cycle's peak. A
+    flight still airborne at the window end is not a cycle.
 
     Raises ValidationError when dt or t_end violate the resolution guards
     and ModelDomainError if the body angle exceeds pi/2 inside the window.
     """
     cycles = _cycles(robot, motor, cfg)
     dt, stride, steps = cfg.dt, cfg.record_stride, _steps(cfg)
+    # tuple.__new__ builds each Sample without its Python-level __new__
+    sin, cos, new = math.sin, math.cos, tuple.__new__
     x, samples, k = 0.0, [], 0
-    after = (math.inf, math.inf, None, None)  # samples the grid after the last cycle
+    after = (math.inf, math.inf, None, None)  # rest through the window end
     for lift_off, touchdown, peak, flight in cycles + [after]:
+        while k <= steps and k * dt < lift_off:
+            samples.append(new(Sample, (k * dt, 0.0, 0.0, 0.0, x)))
+            k += stride
+        if flight is None:
+            break
+        # _Flight.theta and _Flight.rate inlined with one sin per sample, in
+        # the same operation order: _cycle bounds the peak with those values.
+        c_force, c_grav, omega = flight.c_force, flight.c_grav, flight.omega
+        psi0, theta0, sin0 = flight.psi0, flight.theta0, flight.sin0
+        rate0, swing, force_omega = flight.rate0, flight.swing, c_force / omega
         while k <= steps and k * dt < touchdown:
             t = k * dt
             k += stride
-            if samples and t <= samples[-1].t:
-                continue  # a touchdown sample already stands here
-            state = (0.0,) * 3 if t < lift_off else flight.state(t - lift_off)
-            samples.append(Sample(t, *state, x))
+            s = t - lift_off
+            phase = psi0 + omega * s
+            sine = sin(phase)
+            theta = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
+            rate = rate0 - force_omega * cos(phase) - c_grav * s
+            samples.append(new(Sample, (t, 0.0 if theta < 0.0 else theta, rate,
+                                        c_force * sine - c_grav, x)))
         if peak is not None:
-            x += robot.step_height * math.sin(peak)
-            samples.append(Sample(touchdown, 0.0, 0.0, 0.0, x))
+            x += robot.step_height * sin(peak)
+            samples.append(new(Sample, (touchdown, 0.0, 0.0, 0.0, x)))
+            if k * dt <= touchdown:
+                k += stride  # a touchdown sample already stands here
 
     counted = [c for c in cycles if c[2] is not None]
     return Regime2Trajectory(

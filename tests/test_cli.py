@@ -17,6 +17,7 @@ from brushdyn import (
     SimConfig,
     load_config,
     regime1,
+    regime2,
 )
 from brushdyn.cli import main
 from brushdyn.config import ConfigError
@@ -307,6 +308,30 @@ class TestSimulateR2:
         assert stdout_a.replace(str(out_a), "") == stdout_b.replace(str(out_b), "")
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "section, changes",
+        [
+            ("sim", {}),  # the reference run
+            ("sim", {"theta0": "0.05", "record_stride": "7"}),
+            ("motor", {"speed": "100.0"}),  # too weak to lift: rest throughout
+        ],
+    )
+    def test_out_file_is_repr_of_every_sample(self, tmp_path, capsys, section, changes):
+        sections = {**FULL, section: {**FULL[section], **changes}}
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "traj.txt"
+        code, _, _ = run_cli(
+            capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
+        )
+        assert code == 0
+        cfg = load_config(path)
+        samples = regime2.simulate(cfg.robot, cfg.motor, cfg.sim).samples
+        expected = "t th thdot thddot x\n" + "".join(
+            f"{s.t!r} {s.theta!r} {s.theta_dot!r} {s.theta_ddot!r} {s.x!r}\n"
+            for s in samples
+        )
+        assert out_path.read_bytes() == expected.encode("utf-8")
+
     def test_missing_out_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, FULL)
         code, _, err = run_cli(capsys, ["simulate-r2", "--config", path])
@@ -523,3 +548,30 @@ class TestNonFiniteValues:
         assert code == 2
         assert out == ""
         assert err == f"error: {key} must be finite\n"
+
+    def test_grid_count_overflowing_the_float_range_exits_2(self, tmp_path, capsys):
+        sections = {**FULL, "sim": {**SIM_SECTION, "t_end": "1e300", "dt": "1e-10"}}
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "traj.txt"
+        code, out, err = run_cli(
+            capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: t_end / dt must be finite\n"
+        assert not out_path.exists()
+
+    # speed = 1e300 is finite but omega**2 overflows: predict-r1 raises in
+    # regime1, classify computes lift_ratio = inf
+    @pytest.mark.parametrize("command", ["predict-r1", "classify"])
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
+    def test_overflowing_result_exits_2(self, tmp_path, capsys, command, form):
+        sections = {**FULL, "motor": {**MOTOR_SECTION, "speed": "1e300"}}
+        path = write_config(tmp_path, sections)
+        code, out, err = run_cli(capsys, [command, "--config", path, *form])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: arithmetic overflow: ")
+        assert err.count("\n") == 1
+        if command == "classify":
+            assert err == "error: arithmetic overflow: lift_ratio is inf\n"

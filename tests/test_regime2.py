@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from brushdyn import MotorParams, RobotParams, SimConfig, regime2
 from brushdyn.params import ValidationError
@@ -37,6 +38,12 @@ class TestSimConfig:
     def test_rejects_bad_stride(self):
         with pytest.raises(ValidationError, match="record_stride"):
             SimConfig(t_end=1.0, dt=1e-4, record_stride=0)
+
+    def test_rejects_grid_count_overflowing_the_float_range(self):
+        for t_end, dt in ((1e300, 1e-10), (1.0, 5e-324)):
+            with pytest.raises(ValidationError, match=r"t_end / dt must be finite"):
+                SimConfig(t_end=t_end, dt=dt)
+        SimConfig(t_end=1e300, dt=1e-8)  # 1e308 grid steps is still finite
 
     def test_step_guard_against_motor_period(self, reference_robot):
         motor = reference_motor()
@@ -301,6 +308,89 @@ class TestWindow:
             assert phase == pytest.approx(rise, abs=1e-9)
 
 
+def random_flights(rng):
+    """A lifting robot and motor near the reference, some runs starting
+    tilted, sampled at a random fraction of T/200."""
+    robot = RobotParams(
+        body_mass=0.05 * rng.uniform(0.5, 2.0),
+        pivot_inertia=2e-5 * rng.uniform(0.5, 2.0),
+        forcing_arm=0.03 * rng.uniform(0.5, 2.0),
+        gravity_arm=0.003 * rng.uniform(0.5, 2.0),
+        step_height=0.04,
+    )
+    # the speed that puts rho = c_g/c_f = M*g*w_G/(m*r*omega^2*w) at a draw
+    rho = rng.uniform(0.1, 0.9)
+    moment_ratio = robot.weight * robot.gravity_arm / (1e-3 * 2e-3 * robot.forcing_arm)
+    motor = MotorParams(1e-3, 2e-3, math.sqrt(moment_ratio / rho))
+    theta0 = rng.uniform(0.0, 0.05) if rng.random() < 0.3 else 0.0
+    return robot, motor, motor.period / 200.0 / rng.uniform(1.0, 7.0), theta0
+
+
+class TestPeakBound:
+    @staticmethod
+    def assert_flights_below_peaks(traj):
+        assert traj.events
+        for event, peak in zip(traj.events, traj.cycle_peaks):
+            for s in traj.samples:
+                if event.lift_off_time < s.t < event.touchdown_time:
+                    assert s.theta <= peak, (event, s)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_reference_samples_stay_below_cycle_peaks(
+        self, reference_robot, reference_motor, stride
+    ):
+        cfg = SimConfig(t_end=0.5, dt=1e-4, record_stride=stride)
+        traj = regime2.simulate(reference_robot, reference_motor, cfg)
+        self.assert_flights_below_peaks(traj)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_random_samples_stay_below_cycle_peaks(self, stride):
+        rng = np.random.default_rng(404)
+        for _ in range(40):
+            robot, motor, dt, theta0 = random_flights(rng)
+            cfg = SimConfig(8.0 * motor.period, dt, theta0, stride)
+            self.assert_flights_below_peaks(regime2.simulate(robot, motor, cfg))
+
+    def test_grid_points_beside_a_peak_stay_below_it(
+        self, reference_robot, reference_motor
+    ):
+        # Within ~1e-10 s of a peak, theta on the grid rounds to either side
+        # of the root-found peak. Grid point 300 is put within 2e-11 s of the
+        # first peak, whose time comes from brentq on theta_dot (a different
+        # route from the library's bisection).
+        c_force = (
+            reference_motor.force_amplitude
+            * reference_robot.forcing_arm
+            / reference_robot.pivot_inertia
+        )
+        c_grav = (
+            reference_robot.weight
+            * reference_robot.gravity_arm
+            / reference_robot.pivot_inertia
+        )
+        omega = reference_motor.speed
+        rise = math.asin(c_grav / c_force)
+
+        def rate(s):  # theta_dot s after a lift-off from rest
+            swing = math.cos(rise) - math.cos(rise + omega * s)
+            return c_force / omega * swing - c_grav * s
+
+        first = regime2.simulate(
+            reference_robot, reference_motor, SimConfig(0.5, 1e-4)
+        ).events[0]
+        s_peak = brentq(
+            rate,
+            (math.pi - 2.0 * rise) / omega,  # theta_dot is largest here
+            first.touchdown_time - first.lift_off_time,
+            xtol=1e-15,
+        )
+        t_peak = first.lift_off_time + s_peak
+        for j in range(-200, 201):
+            cfg = SimConfig(0.5, (t_peak + j * 1e-13) / 300, record_stride=300)
+            traj = regime2.simulate(reference_robot, reference_motor, cfg)
+            self.assert_flights_below_peaks(traj)
+
+
 class TestModelDomain:
     def test_runaway_rotation_aborts(self):
         # no gravity moment, violent forcing: the angle ratchets upward
@@ -391,6 +481,19 @@ class TestRecording:
         thin_times = {s.t for s in thin.samples}
         for event in thin.events:
             assert event.touchdown_time in thin_times
+
+    def test_touchdown_on_a_grid_point_is_sampled_once(self, reference_robot):
+        # a free fall from 0.05 rad on a grid whose point n lands exactly on
+        # the touchdown time: the touchdown sample stands for that point
+        motor = quiet_motor()
+        fall = SimConfig(t_end=0.5, dt=1e-4, theta0=0.05)
+        (event,) = regime2.simulate(reference_robot, motor, fall).events
+        touchdown = event.touchdown_time
+        n = next(n for n in range(400, 1000) if n * (touchdown / n) == touchdown)
+        cfg = SimConfig(t_end=0.5, dt=touchdown / n, theta0=0.05)
+        times = [s.t for s in regime2.simulate(reference_robot, motor, cfg).samples]
+        assert times.count(touchdown) == 1
+        assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_samples_strictly_increasing(self, reference_trajectory):
         times = [s.t for s in reference_trajectory.samples]
