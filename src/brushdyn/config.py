@@ -121,7 +121,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None

@@ -12,7 +12,8 @@ lift-off/touchdown cycle advances the robot by h*sin(peak angle of that cycle).
 The solver is exact and event-driven: theta_ddot = c_f*sin(omega*t) - c_g
 depends on time only, so flights have a closed form, and every lift-off from
 rest is at the forcing phase asin(c_g/c_f), so all flights from rest are one
-flight shifted by whole periods. dt only sets the sampling grid. Limit: this
+flight shifted by whole periods. Peaks and touchdowns are Newton roots of the
+closed form, to float resolution. dt only sets the sampling grid. Limit: this
 holds only while the moments do not depend on theta (fixed moment arms).
 """
 
@@ -30,6 +31,8 @@ MAX_BODY_ANGLE = math.pi / 2.0
 # Flights shorter than this fraction of the forcing period are boundary
 # artifacts (lift-off exactly at the zero-moment point), not real cycles.
 _MIN_FLIGHT_FRACTION = 1e-12
+# Longest window, in grid steps: it bounds the cycle walk and the samples.
+MAX_GRID_STEPS = 10**7
 
 
 class ModelDomainError(RuntimeError):
@@ -51,8 +54,8 @@ class SimConfig:
                    samples are always kept)
 
     The window ends at the last grid point t_k = k*dt inside t_end, so
-    t_end / dt must be finite. dt sets where the exact solution is sampled,
-    not its accuracy.
+    t_end / dt must be finite; the solver takes at most MAX_GRID_STEPS of
+    them. dt sets where the exact solution is sampled, not its accuracy.
     """
 
     t_end: float
@@ -109,18 +112,33 @@ def net_moment(robot: RobotParams, motor: MotorParams, t: float) -> float:
     )
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """The end of [lo, hi] on f(hi)'s side of zero after halving to float
-    resolution; f(lo) and f(hi) lie on opposite sides (f > 0 or f <= 0)."""
-    above = f(lo) > 0.0
+def _root(f: Callable, slope: Callable, lo: float, hi: float) -> float:
+    """The end of [lo, hi] on f(hi)'s side of zero once lo and hi are
+    adjacent floats; f(lo) and f(hi) lie on opposite sides (f > 0 or f <= 0).
+
+    Newton steps on f, whose derivative is slope, from the midpoint (slope
+    vanishes at an end of the brackets here). A step that would leave
+    (lo, hi) or is over half the one before gives way to a bisection, which
+    caps the cost at about twice bisection's. Each step is aimed two ulps
+    past its estimate, so a converged one lands across the root.
+    """
+    above, x = f(lo) > 0.0, lo  # x is not inside (lo, hi): the first point bisects
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return hi
-        if (f(mid) > 0.0) == above:
-            lo = mid
+        if not lo < x < hi:
+            x, last = mid, hi - lo
+        value = f(x)
+        if (value > 0.0) == above:
+            lo = x
         else:
-            hi = mid
+            hi = x
+        d = slope(x)
+        step = value / d if d else math.inf
+        if abs(step) <= 0.5 * last:  # else x is an end: the next point bisects
+            last = abs(step)
+            x -= step + math.copysign(2.0 * math.ulp(x), step)
 
 
 class _Flight:
@@ -141,15 +159,18 @@ class _Flight:
         cos = math.cos(self.psi0 + self.omega * s)
         return self.rate0 - self.c_force / self.omega * cos - self.c_grav * s
 
-    def land(self, lift_off: float, limit: float) -> tuple[float, list[float]]:
-        """Touchdown time (math.inf if airborne at ``limit``) and the times
-        of the maxima of theta before it, each bisected in a bracket where
-        it is the only root: theta_ddot changes sign only at the phases rise
-        and pi - rise, and theta is monotone between zeros of theta_dot.
+    def accel(self, s: float) -> float:
+        return self.c_force * math.sin(self.psi0 + self.omega * s) - self.c_grav
+
+    def land(self, lift_off: float, limit: float) -> tuple[float, list]:
+        """Touchdown time (math.inf if airborne at ``limit``) and the (time,
+        theta) of the maxima of theta before it, each time found by _root as
+        the only root in its bracket: theta_ddot changes sign only at the
+        phases rise and pi - rise, theta is monotone between zeros of theta_dot.
         """
         lifts = self.c_grav < self.c_force  # else theta_ddot <= 0: one bracket
         rise = math.asin(self.c_grav / self.c_force) if lifts else 0.0
-        humps: list[float] = []
+        humps: list[tuple[float, float]] = []
         p, index = 0.0, 0 if self.psi0 < rise else 1  # the first turn after psi0
         while p < limit:
             q = limit
@@ -159,20 +180,21 @@ class _Flight:
                 index += 1
             v_p, v_q = self.rate(p), self.rate(q)
             if v_p > 0.0 > v_q or v_p < 0.0 < v_q:
-                pieces = ((_bisect(self.rate, p, q), v_p > 0.0), (q, v_q > 0.0))
+                pieces = ((_root(self.rate, self.accel, p, q), v_p > 0.0),
+                          (q, v_q > 0.0))
             else:
                 pieces = ((q, v_p > 0.0 or v_q > 0.0),)
             for q, rising in pieces:  # theta is monotone on [p, q]
                 angle = self.theta(q)
                 if not rising and angle <= 0.0:
-                    return _bisect(self.theta, p, q), humps
+                    return _root(self.theta, self.rate, p, q), humps
                 if rising and angle > MAX_BODY_ANGLE:
                     raise ModelDomainError(
                         f"body angle {angle:.6g} rad exceeds pi/2 at "
                         f"t = {lift_off + q:.6g} s"
                     )
                 if rising and self.rate(q) <= 0.0:
-                    humps.append(q)
+                    humps.append((q, angle))
                 p = q
         return math.inf, humps
 
@@ -193,8 +215,8 @@ def _cycle(flight, lift_off, landing, end, dt, period) -> tuple:
     # theta at the grid points next to a hump can round above the root-found
     # value; taking them in keeps every sample at or below the peak.
     peak = flight.theta0
-    for hump in humps:
-        peak = max(peak, flight.theta(hump))
+    for hump, angle in humps:
+        peak = max(peak, angle)
         k = math.floor((lift_off + hump) / dt)
         for t in (k * dt, (k + 1) * dt):
             if lift_off < t < touchdown:
@@ -212,6 +234,8 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
         raise ValidationError(
             f"t_end {cfg.t_end:.6g} below five forcing periods {5.0 * period:.6g} s"
         )
+    if _steps(cfg) > MAX_GRID_STEPS:
+        raise ValidationError(f"t_end / dt exceeds {MAX_GRID_STEPS:.6g} grid steps")
 
     omega, dt = motor.speed, cfg.dt
     c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia

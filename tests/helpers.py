@@ -1,9 +1,11 @@
 """Shared test resources: parameter generators and independent oracles.
 
 The oracles deliberately take different numerical routes than the library
-(exact rational series, collocation BVP solves, and fixed-step RK4 time
-stepping with bisection for the rigid regime, whose library solver is the
-exact event-driven closed form) so that agreement actually means something.
+(exact rational series, collocation BVP solves, fixed-step RK4 time stepping
+with bisection for the rigid regime, whose library solver is the exact
+event-driven closed form, and grid scans plus bisection on that closed form
+in another arrangement for its Newton event location) so that agreement
+actually means something.
 """
 
 from __future__ import annotations
@@ -215,3 +217,56 @@ def rk4_hybrid(robot: RobotParams, motor: MotorParams, t_end: float, dt: float):
                 peak = 0.0
         samples.append((end, theta, vel) if airborne else (end, 0.0, 0.0))
     return peaks, events, samples
+
+
+# ---------------------------------------------------------------------------
+# bisection oracle for the events of one closed-form flight
+
+def bisect(f, lo: float, hi: float) -> float:
+    """The end of [lo, hi] on f(hi)'s side of zero after halving to float
+    resolution; f(lo) and f(hi) lie on opposite sides (f > 0 or f <= 0)."""
+    above = f(lo) > 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if (f(mid) > 0.0) == above:
+            lo = mid
+        else:
+            hi = mid
+
+
+def flight_events(c_force: float, c_grav: float, omega: float, psi0: float,
+                  theta0: float, limit: float, scan: int = 512):
+    """(touchdown, peak) of the flight from (theta0, rate 0) at forcing phase
+    psi0 under theta_ddot = c_force*sin(psi0 + omega*s) - c_grav, with s the
+    time since lift-off: the first fall of theta to <= 0 (None if that is
+    not before ``limit``) and the largest of theta0 and theta at the maxima
+    before it.
+
+    Independent route to the library's Newton event location: the closed
+    form in sum-to-product arrangement, sign changes of theta and theta_dot
+    found on a grid of ``scan`` points per forcing period, each bisected to
+    float resolution.
+    """
+    def rate(s):
+        half = 0.5 * omega * s
+        return 2.0 * c_force / omega * math.sin(psi0 + half) * math.sin(half) - c_grav * s
+
+    def theta(s):
+        half = 0.5 * omega * s
+        lag = 2.0 * c_force / omega**2 * math.cos(psi0 + half) * math.sin(half)
+        return theta0 + (c_force / omega * math.cos(psi0) - 0.5 * c_grav * s) * s - lag
+
+    step = 2.0 * math.pi / omega / scan
+    peak, s, v, th = theta0, 0.0, 0.0, theta0
+    for k in range(1, math.ceil(limit / step) + 1):
+        s_next = k * step
+        v_next, th_next = rate(s_next), theta(s_next)
+        if v > 0.0 >= v_next:
+            peak = max(peak, theta(bisect(rate, s, s_next)))
+        if th > 0.0 >= th_next:
+            touchdown = bisect(theta, s, s_next)
+            return (touchdown if touchdown < limit else None), peak
+        s, v, th = s_next, v_next, th_next
+    return None, peak

@@ -8,6 +8,7 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from brushdyn import (
@@ -561,6 +562,42 @@ class TestNonFiniteValues:
         assert err == "error: t_end / dt must be finite\n"
         assert not out_path.exists()
 
+    def test_huge_window_exits_2(self, tmp_path, capsys):
+        # finite t_end / dt, but ~1e302 forcing periods to walk
+        sections = {**FULL, "sim": {**SIM_SECTION, "t_end": "1e300"}}
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "traj.txt"
+        code, out, err = run_cli(
+            capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: t_end / dt exceeds 1e+07 grid steps\n"
+        assert not out_path.exists()
+
+    def test_huge_window_sweep_rows_are_invalid(self, tmp_path, capsys):
+        sections = {
+            **FULL,
+            "sim": {**SIM_SECTION, "t_end": "1e300"},
+            "sweep": dict(parameter="omega", objective="v_r_regime2", grid="250, 300"),
+        }
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
+        assert code == 0
+        assert out.startswith("rows 2\nargmax nan\n")
+        rows = out_path.read_text(encoding="utf-8").splitlines()
+        assert rows[1:] == ["omega,250.0,,invalid", "omega,300.0,,invalid", "# argmax=nan"]
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(config_text(FULL).replace("300.0", "300.0\xb0").encode("latin-1"))
+        code, out, err = run_cli(capsys, ["classify", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read config file {str(path)!r}: ")
+        assert "can't decode byte 0xb0" in err
+
     # speed = 1e300 is finite but omega**2 overflows: predict-r1 raises in
     # regime1, classify computes lift_ratio = inf
     @pytest.mark.parametrize("command", ["predict-r1", "classify"])
@@ -575,3 +612,68 @@ class TestNonFiniteValues:
         assert err.count("\n") == 1
         if command == "classify":
             assert err == "error: arithmetic overflow: lift_ratio is inf\n"
+
+
+class TestFuzz:
+    """Seeded malformed configs through every command: each run ends in a
+    documented exit code and no exception escapes cli.main."""
+
+    BASE = {
+        **FULL,
+        "sim": {"t_end": "0.15", "dt": "5e-5", "theta0": "0.01", "record_stride": "3"},
+        "sweep": {
+            "parameter": "omega",
+            "objective": "v_r_regime2",
+            "start": "250",
+            "stop": "400",
+            "points": "4",
+            "spacing": "log",
+        },
+    }
+    BAD = ("nan", "inf", "-inf", "1e300", "1e-300", "-1e300", "1e400", "", "-1", "0")
+    HUGE_WINDOWS = (("t_end", "1e300"), ("t_end", "1e12"), ("dt", "1e-300"))
+
+    @classmethod
+    def malformed(cls, rng) -> bytes:
+        sections = {name: list(pairs.items()) for name, pairs in cls.BASE.items()}
+        names = sorted(sections)
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            kind = rng.integers(5)
+            name = names[rng.integers(len(names))]
+            pairs = sections[name]
+            at = rng.integers(len(pairs))
+            key, value = pairs[at]
+            if kind == 0:  # a bad value
+                pairs[at] = (key, cls.BAD[rng.integers(len(cls.BAD))])
+            elif kind == 1:  # a negated value
+                pairs[at] = (key, "-" + value)
+            elif kind == 2:  # a duplicate key
+                pairs.append((key, value))
+            elif kind == 3:  # a huge window
+                key, value = cls.HUGE_WINDOWS[rng.integers(len(cls.HUGE_WINDOWS))]
+                sections["sim"] = [(k, value if k == key else v) for k, v in sections["sim"]]
+            else:  # a byte that is not UTF-8
+                pairs[at] = (key, value + "\udcff")
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs)
+            for name, pairs in sections.items()
+        )
+        return text.encode("utf-8", "surrogateescape")
+
+    @pytest.mark.filterwarnings("ignore::brushdyn.regime1.BrushGeometryWarning")
+    def test_malformed_configs_end_in_documented_exit_codes(self, tmp_path, capsys):
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "fuzz.cfg"
+        out = str(tmp_path / "out.txt")
+        codes = []
+        for index in range(160):
+            path.write_bytes(self.malformed(rng))
+            for command in ("predict-r1", "classify", "simulate-r2", "sweep"):
+                argv = [command, "--config", str(path)]
+                if command in ("simulate-r2", "sweep"):
+                    argv += ["--out", out]
+                code = main(argv)
+                assert code in (0, 2, 3, 4), (index, command, path.read_bytes())
+                codes.append(code)
+            capsys.readouterr()
+        assert {0, 2} <= set(codes)

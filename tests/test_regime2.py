@@ -15,7 +15,14 @@ from brushdyn.regime2 import (
     Sample,
 )
 
-from helpers import REFERENCE_PEAK, reference_motor, reference_robot, rk4_hybrid
+from helpers import (
+    REFERENCE_PEAK,
+    bisect,
+    flight_events,
+    reference_motor,
+    reference_robot,
+    rk4_hybrid,
+)
 
 
 def quiet_motor(speed=300.0):
@@ -389,6 +396,101 @@ class TestPeakBound:
             cfg = SimConfig(0.5, (t_peak + j * 1e-13) / 300, record_stride=300)
             traj = regime2.simulate(reference_robot, reference_motor, cfg)
             self.assert_flights_below_peaks(traj)
+
+
+class TestRootFinder:
+    # f, its derivative, lo, hi; every f here is monotone in the floats, so
+    # one adjacent pair of floats carries the sign change
+    CASES = {
+        "flat root": (lambda x: (x - 0.3) ** 3, lambda x: 3.0 * (x - 0.3) ** 2, 0.0, 1.0),
+        "root ulps below hi": (
+            lambda x: x - (1.0 - 3.0 * math.ulp(1.0)), lambda x: 1.0, 0.0, 1.0
+        ),
+        "root ulps above lo": (
+            lambda x: 0.5 + 3.0 * math.ulp(0.5) - x, lambda x: -1.0, 0.5, 2.0
+        ),
+        "slope zero at lo": (lambda x: 2.0 - x * x, lambda x: -2.0 * x, 0.0, 2.0),
+        "slope zero at hi": (lambda x: x * x - 4.0 * x + 2.0, lambda x: 2.0 * x - 4.0, 0.0, 2.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_returns_the_sign_change_within_twice_the_bisection_cost(self, case):
+        f, slope, lo, hi = self.CASES[case]
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        root = regime2._root(counted, slope, lo, hi)
+        newton_calls = len(calls)
+        calls.clear()
+        assert root == bisect(counted, lo, hi)
+        below = math.nextafter(root, -math.inf)
+        assert lo <= below < root <= hi
+        assert (f(root) > 0.0) == (f(hi) > 0.0) != (f(below) > 0.0)
+        assert newton_calls <= 2 * len(calls)
+
+
+def event_case(rng, family, stride):
+    """A robot and motor near the reference and a window of 6 periods:
+    'tilted' starts at theta0 > 0 with rho = c_g/c_f in 0.1-0.9, 'near_one'
+    has rho in 0.9-0.99 (short, flat flights), 'no_arm' has gravity_arm 0."""
+    robot = dict(
+        body_mass=0.05 * rng.uniform(0.5, 2.0),
+        pivot_inertia=2e-5 * rng.uniform(0.5, 2.0),
+        forcing_arm=0.03 * rng.uniform(0.5, 2.0),
+        gravity_arm=0.0,
+        step_height=0.04,
+    )
+    speed = rng.uniform(150.0, 600.0)
+    theta0 = rng.uniform(0.001, 0.05) if family == "tilted" or rng.random() < 0.5 else 0.0
+    if family != "no_arm":
+        rho = rng.uniform(0.1, 0.9) if family == "tilted" else rng.uniform(0.9, 0.99)
+        forcing = 1e-3 * 2e-3 * speed**2 * robot["forcing_arm"]
+        robot["gravity_arm"] = rho * forcing / (robot["body_mass"] * 9.81)
+    motor = MotorParams(1e-3, 2e-3, speed)
+    dt = motor.period / 200.0 / rng.uniform(1.0, 3.0)
+    return RobotParams(**robot), motor, SimConfig(6.0 * motor.period, dt, theta0, stride)
+
+
+class TestEventLocation:
+    """Touchdowns and peaks of simulate against bisection on the closed form
+    in another arrangement (helpers.flight_events), not the library's Newton."""
+
+    FAMILIES = ("tilted", "near_one", "no_arm")
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_events_match_bisection_oracle(self, stride):
+        rng = np.random.default_rng(606 + stride)
+        events = 0
+        for index in range(120):
+            family = self.FAMILIES[index % 3]
+            robot, motor, cfg = event_case(rng, family, stride)
+            traj = regime2.simulate(robot, motor, cfg)
+            if family == "no_arm":
+                assert not traj.events  # theta_dot >= 0: nothing comes down
+                continue
+            omega = motor.speed
+            c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
+            c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
+            oracle = {}
+            for event, peak in zip(traj.events, traj.cycle_peaks):
+                start = (0.0, cfg.theta0) if event.lift_off_time == 0.0 else (
+                    math.asin(c_grav / c_force), 0.0
+                )
+                if start not in oracle:
+                    flight = regime2._Flight(c_force, c_grav, omega, *start)
+                    duration, _ = flight.land(0.0, cfg.t_end)
+                    assert flight.theta(duration) <= 0.0
+                    oracle[start] = flight_events(c_force, c_grav, omega, *start, cfg.t_end)
+                touchdown, oracle_peak = oracle[start]
+                assert event.touchdown_time == pytest.approx(
+                    event.lift_off_time + touchdown, rel=1e-12, abs=0.0
+                ), (index, event)
+                assert peak == pytest.approx(oracle_peak, rel=1e-12, abs=0.0), (index, event)
+                events += 1
+        assert events > 300
 
 
 class TestModelDomain:
