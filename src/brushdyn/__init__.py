@@ -23,18 +23,13 @@ from .classify import Regime, RegimeReport
 from .config import ConfigError, RunConfig, load_config
 from .params import (
     BrushParams,
+    ModelDomainError,
     MotorParams,
     RobotParams,
     ValidationError,
-    forcing_at,
 )
 from .regime1 import Regime1Prediction, ResonanceError
-from .regime2 import (
-    ModelDomainError,
-    NoCompletedCycleError,
-    Regime2Trajectory,
-    SimConfig,
-)
+from .regime2 import NoCompletedCycleError, Regime2Trajectory, SimConfig
 from .sweep import SweepResult, SweepSpec
 
 __version__ = "0.1.0"
@@ -43,7 +38,6 @@ __all__ = [
     "BrushParams",
     "MotorParams",
     "RobotParams",
-    "forcing_at",
     "ValidationError",
     "Regime1Prediction",
     "ResonanceError",

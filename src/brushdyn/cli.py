@@ -17,7 +17,7 @@ import sys
 from . import classify as classify_mod
 from . import regime1, regime2, sweep as sweep_mod
 from .config import ConfigError, RunConfig, load_config
-from .params import ValidationError
+from .params import ModelDomainError, ValidationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -213,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     except regime1.ResonanceError as exc:
         print(f"error: resonance: {exc}", file=sys.stderr)
         return EXIT_RESONANCE
-    except regime2.ModelDomainError as exc:
+    except ModelDomainError as exc:
         print(f"error: model domain: {exc}", file=sys.stderr)
         return EXIT_MODEL_DOMAIN
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""Validated physical parameter types and the rotating-mass forcing function.
+"""Validated physical parameter types and the errors shared by the models.
 
 All quantities are strict SI (m, kg, s, N, Pa, rad). Types are frozen
 dataclasses: once constructed they are immutable and safe to share across
@@ -15,6 +15,11 @@ TWO_PI = 2.0 * math.pi
 
 class ValidationError(ValueError):
     """A physical parameter violates its domain constraint."""
+
+
+class ModelDomainError(RuntimeError):
+    """A model's geometry no longer holds: the stick-phase brush angle beyond
+    the inclination (flexible regime) or the body angle beyond pi/2 (rigid)."""
 
 
 def _require(condition: bool, message: str) -> None:
@@ -124,8 +129,3 @@ class RobotParams:
     def weight(self) -> float:
         """M*g in N."""
         return self.body_mass * self.gravity
-
-
-def forcing_at(motor: MotorParams, t: float) -> float:
-    """Centrifugal force m*omega^2*r*sin(omega*t) at time t, in N."""
-    return motor.force_amplitude * math.sin(motor.speed * t)

@@ -10,11 +10,11 @@ amplitude. Everything here is a pure function of validated inputs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .params import BrushParams, MotorParams, RobotParams, ValidationError
+from .params import BrushParams, ModelDomainError, MotorParams, RobotParams
+from .params import ValidationError
 
 # Relative frequency band around the natural frequency inside which the
 # undamped forced response is refused (the model diverges there).
@@ -23,11 +23,6 @@ RESONANCE_GUARD = 1e-3
 
 class ResonanceError(ValueError):
     """Motor speed is inside the guard band around the brush natural frequency."""
-
-
-class BrushGeometryWarning(UserWarning):
-    """Stick-phase angle exceeds the brush inclination; the step-geometry
-    construction assumes the deformed brush stays on the same side."""
 
 
 def beam_deflection(brush: BrushParams, force: float, position: float) -> float:
@@ -101,18 +96,16 @@ def stick_phase_angle(brush: BrushParams, motor: MotorParams) -> float:
 def step_displacement(brush: BrushParams, motor: MotorParams) -> float:
     """Net horizontal step per motor revolution, l*cos(alpha-theta) - l*cos(alpha).
 
-    Positive for 0 < theta < 2*alpha. When theta exceeds alpha the deformed
+    Positive for 0 < theta <= alpha. When theta exceeds alpha the deformed
     brush has crossed the vertical through its tip and the same-side geometry
-    no longer holds; the value is still returned but flagged with a warning.
+    no longer holds: that raises ModelDomainError.
     """
     theta = stick_phase_angle(brush, motor)
     alpha = brush.inclination
     if theta > alpha:
-        warnings.warn(
+        raise ModelDomainError(
             f"stick-phase angle {theta:.6g} rad exceeds brush inclination "
-            f"{alpha:.6g} rad",
-            BrushGeometryWarning,
-            stacklevel=2,
+            f"{alpha:.6g} rad"
         )
     return brush.length * (math.cos(alpha - theta) - math.cos(alpha))
 
@@ -182,7 +175,8 @@ class Regime1Prediction:
 
 
 def predict(brush: BrushParams, motor: MotorParams) -> Regime1Prediction:
-    """Full flexible-brush prediction; raises ResonanceError in the guard band."""
+    """Full flexible-brush prediction; raises ResonanceError in the guard band
+    and ModelDomainError when the stick-phase angle exceeds the inclination."""
     theta_hat = forced_amplitude(brush, motor)
     delta = step_displacement(brush, motor)
     return Regime1Prediction(

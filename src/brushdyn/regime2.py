@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .params import TWO_PI, MotorParams, RobotParams, ValidationError
-from .params import forcing_at, require_finite
+from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
+from .params import ValidationError, require_finite
 
 # Body angles beyond this break the single-pivot geometry.
 MAX_BODY_ANGLE = math.pi / 2.0
@@ -33,10 +33,6 @@ MAX_BODY_ANGLE = math.pi / 2.0
 _MIN_FLIGHT_FRACTION = 1e-12
 # Longest window, in grid steps: it bounds the cycle walk and the samples.
 MAX_GRID_STEPS = 10**7
-
-
-class ModelDomainError(RuntimeError):
-    """The body angle left the domain where the pivot model is meaningful."""
 
 
 class NoCompletedCycleError(ValueError):
@@ -104,14 +100,6 @@ class Regime2Trajectory:
     events: tuple[FlightEvent, ...]
 
 
-def net_moment(robot: RobotParams, motor: MotorParams, t: float) -> float:
-    """Moment about the pivot: m*omega^2*r*sin(omega*t)*w - M*g*w_G, N*m."""
-    return (
-        forcing_at(motor, t) * robot.forcing_arm
-        - robot.weight * robot.gravity_arm
-    )
-
-
 def _root(f: Callable, slope: Callable, lo: float, hi: float) -> float:
     """The end of [lo, hi] on f(hi)'s side of zero once lo and hi are
     adjacent floats; f(lo) and f(hi) lie on opposite sides (f > 0 or f <= 0).
@@ -162,15 +150,16 @@ class _Flight:
     def accel(self, s: float) -> float:
         return self.c_force * math.sin(self.psi0 + self.omega * s) - self.c_grav
 
-    def land(self, lift_off: float, limit: float) -> tuple[float, list]:
-        """Touchdown time (math.inf if airborne at ``limit``) and the (time,
-        theta) of the maxima of theta before it, each time found by _root as
-        the only root in its bracket: theta_ddot changes sign only at the
-        phases rise and pi - rise, theta is monotone between zeros of theta_dot.
+    def land(self, lift_off: float, limit: float) -> tuple[float, float]:
+        """Touchdown time (math.inf if airborne at ``limit``) and the peak
+        angle before it, the larger of theta0 and theta at the maxima of
+        theta, each time found by _root as the only root in its bracket:
+        theta_ddot changes sign only at the phases rise and pi - rise, theta
+        is monotone between zeros of theta_dot.
         """
         lifts = self.c_grav < self.c_force  # else theta_ddot <= 0: one bracket
         rise = math.asin(self.c_grav / self.c_force) if lifts else 0.0
-        humps: list[tuple[float, float]] = []
+        peak = self.theta0
         p, index = 0.0, 0 if self.psi0 < rise else 1  # the first turn after psi0
         while p < limit:
             q = limit
@@ -187,40 +176,31 @@ class _Flight:
             for q, rising in pieces:  # theta is monotone on [p, q]
                 angle = self.theta(q)
                 if not rising and angle <= 0.0:
-                    return _root(self.theta, self.rate, p, q), humps
+                    return _root(self.theta, self.rate, p, q), peak
                 if rising and angle > MAX_BODY_ANGLE:
                     raise ModelDomainError(
                         f"body angle {angle:.6g} rad exceeds pi/2 at "
                         f"t = {lift_off + q:.6g} s"
                     )
                 if rising and self.rate(q) <= 0.0:
-                    humps.append((q, angle))
+                    peak = max(peak, angle)
                 p = q
-        return math.inf, humps
+        return math.inf, peak
 
 
 def _steps(cfg: SimConfig) -> int:
     return math.floor(cfg.t_end / cfg.dt + 1e-9)
 
 
-def _cycle(flight, lift_off, landing, end, dt, period) -> tuple:
+def _cycle(flight, lift_off, landing, end, period) -> tuple:
     """(lift_off, touchdown, peak, flight); touchdown is math.inf if the
     flight is airborne at the window end, peak None unless it counts."""
-    duration, humps = landing
+    duration, peak = landing
     touchdown = lift_off + duration
     if touchdown > end:
         return lift_off, math.inf, None, flight
     if duration < _MIN_FLIGHT_FRACTION * period:
         return lift_off, touchdown, None, flight
-    # theta at the grid points next to a hump can round above the root-found
-    # value; taking them in keeps every sample at or below the peak.
-    peak = flight.theta0
-    for hump, angle in humps:
-        peak = max(peak, angle)
-        k = math.floor((lift_off + hump) / dt)
-        for t in (k * dt, (k + 1) * dt):
-            if lift_off < t < touchdown:
-                peak = max(peak, flight.theta(t - lift_off))
     return lift_off, touchdown, peak, flight
 
 
@@ -237,14 +217,14 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     if _steps(cfg) > MAX_GRID_STEPS:
         raise ValidationError(f"t_end / dt exceeds {MAX_GRID_STEPS:.6g} grid steps")
 
-    omega, dt = motor.speed, cfg.dt
+    omega = motor.speed
     c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
     c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
-    end = _steps(cfg) * dt
+    end = _steps(cfg) * cfg.dt
     cycles, at_rest = [], 0.0
     if cfg.theta0 > 0.0:
         flight = _Flight(c_force, c_grav, omega, 0.0, cfg.theta0)
-        cycles.append(_cycle(flight, 0.0, flight.land(0.0, end), end, dt, period))
+        cycles.append(_cycle(flight, 0.0, flight.land(0.0, end), end, period))
         at_rest = cycles[0][1]
     if not (c_grav < c_force and at_rest < end):
         return cycles  # no lift-off from rest inside the window
@@ -257,7 +237,7 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     flight = _Flight(c_force, c_grav, omega, rise, 0.0)
     landing = flight.land(lift_off, end - lift_off) if lift_off < end else None
     while lift_off < end:
-        cycles.append(_cycle(flight, lift_off, landing, end, dt, period))
+        cycles.append(_cycle(flight, lift_off, landing, end, period))
         if cycles[-1][1] == math.inf:
             break
         k += max(1, math.ceil(landing[0] * omega / TWO_PI))
@@ -278,11 +258,12 @@ def simulate(
 
     Flights are exact; a touchdown resets the state to rest until the next
     rising zero of the net moment. Samples are the closed form at every
-    record_stride-th grid point t_k = k*dt (exact zeros at rest, theta
-    rounded up to >= 0 in flight), plus a rest sample at each completed
-    touchdown, where x steps by h*sin(cycle peak) and which stands for a grid
-    point at the same time. No sampled theta exceeds its cycle's peak. A
-    flight still airborne at the window end is not a cycle.
+    record_stride-th grid point t_k = k*dt (exact zeros at rest), plus a rest
+    sample at each completed touchdown, where x steps by h*sin(cycle peak) and
+    which stands for a grid point at the same time. Near a peak or touchdown
+    the closed form can round a few ulps past it, so sampled theta in flight
+    is clamped to [0, cycle peak]. A flight still airborne at the window end
+    is not a cycle, and its theta is only kept >= 0.
 
     Raises ValidationError when dt or t_end violate the resolution guards
     and ModelDomainError if the body angle exceeds pi/2 inside the window.
@@ -299,8 +280,8 @@ def simulate(
             k += stride
         if flight is None:
             break
-        # _Flight.theta and _Flight.rate inlined with one sin per sample, in
-        # the same operation order: _cycle bounds the peak with those values.
+        # _Flight.theta and _Flight.rate inlined with one sin per sample
+        top = math.inf if peak is None else peak
         c_force, c_grav, omega = flight.c_force, flight.c_grav, flight.omega
         psi0, theta0, sin0 = flight.psi0, flight.theta0, flight.sin0
         rate0, swing, force_omega = flight.rate0, flight.swing, c_force / omega
@@ -312,8 +293,8 @@ def simulate(
             sine = sin(phase)
             theta = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
             rate = rate0 - force_omega * cos(phase) - c_grav * s
-            samples.append(new(Sample, (t, 0.0 if theta < 0.0 else theta, rate,
-                                        c_force * sine - c_grav, x)))
+            theta = 0.0 if theta < 0.0 else theta if theta < top else top
+            samples.append(new(Sample, (t, theta, rate, c_force * sine - c_grav, x)))
         if peak is not None:
             x += robot.step_height * sin(peak)
             samples.append(new(Sample, (touchdown, 0.0, 0.0, 0.0, x)))

@@ -1,4 +1,4 @@
-"""Design and frequency sweeps with golden-section peak refinement.
+"""Design and frequency sweeps of one objective over a grid of one parameter.
 
 A sweep evaluates one objective over a grid of one parameter while holding
 everything else fixed. Points that cannot be evaluated (resonance guard,
@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from . import regime1, regime2
-from .params import BrushParams, MotorParams, RobotParams, ValidationError
+from .params import BrushParams, ModelDomainError, MotorParams, RobotParams
+from .params import ValidationError
 
 STATUS_OK = "ok"
 STATUS_RESONANCE = "resonance_guard"
@@ -24,7 +25,7 @@ STATUS_INVALID = "invalid"
 
 
 def _positive(value: float) -> bool:
-    return value > 0.0
+    return 0.0 < value < math.inf
 
 
 # Sweep parameter name -> (grid domain, apply(value, brush, motor) giving the
@@ -79,8 +80,6 @@ class SweepSpec:
             )
         if len(self.grid) < 1:
             raise ValidationError("sweep grid must contain at least one value")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValidationError("sweep grid must be strictly increasing")
         domain, _ = PARAMETERS[self.parameter]
         for value in self.grid:
             if not domain(value):
@@ -88,6 +87,8 @@ class SweepSpec:
                     f"grid value {value!r} out of domain for parameter "
                     f"{self.parameter!r}"
                 )
+        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+            raise ValidationError("sweep grid must be strictly increasing")
 
     @classmethod
     def from_range(
@@ -134,27 +135,6 @@ class SweepResult:
     argmax: float | None
 
 
-def _make_objective(
-    spec: SweepSpec,
-    brush: BrushParams,
-    motor: MotorParams,
-    robot: RobotParams | None,
-    sim: regime2.SimConfig | None,
-) -> Callable[[float], float]:
-    if spec.objective == "v_r_regime2" and (robot is None or sim is None):
-        raise ValidationError(
-            "objective v_r_regime2 needs robot and sim parameters"
-        )
-
-    _, apply = PARAMETERS[spec.parameter]
-    objective = OBJECTIVES[spec.objective]
-
-    def evaluate(value: float) -> float:
-        return objective(*apply(value, brush, motor), robot, sim)
-
-    return evaluate
-
-
 def run_sweep(
     spec: SweepSpec,
     brush: BrushParams,
@@ -168,17 +148,22 @@ def run_sweep(
     does not depend on evaluation order. argmax is the parameter value of the
     best ok row, or None if no point evaluated.
     """
-    evaluate = _make_objective(spec, brush, motor, robot, sim)
+    if spec.objective == "v_r_regime2" and (robot is None or sim is None):
+        raise ValidationError(
+            "objective v_r_regime2 needs robot and sim parameters"
+        )
+    _, apply = PARAMETERS[spec.parameter]
+    evaluate = OBJECTIVES[spec.objective]
     rows = []
     best_value: float | None = None
     best_objective = -math.inf
     for value in spec.grid:
         try:
-            objective = evaluate(value)
+            objective = evaluate(*apply(value, brush, motor), robot, sim)
         except regime1.ResonanceError:
             rows.append(SweepRow(value, None, STATUS_RESONANCE))
             continue
-        except regime2.ModelDomainError:
+        except ModelDomainError:
             rows.append(SweepRow(value, None, STATUS_MODEL_DOMAIN))
             continue
         except regime2.NoCompletedCycleError:
@@ -196,59 +181,4 @@ def run_sweep(
         objective=spec.objective,
         rows=tuple(rows),
         argmax=best_value,
-    )
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(
-    f: Callable[[float], float], a: float, b: float, rel_tol: float = 1e-4
-) -> float:
-    """Maximizer of a unimodal f on [a, b] to relative interval width rel_tol."""
-    if not b > a:
-        raise ValueError("golden section needs b > a")
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def refine_peak(
-    spec: SweepSpec,
-    brush: BrushParams,
-    motor: MotorParams,
-    robot: RobotParams | None = None,
-    sim: regime2.SimConfig | None = None,
-    rel_tol: float = 1e-4,
-) -> float:
-    """Golden-section refinement of the sweep argmax.
-
-    Needs the argmax strictly inside the grid (its two neighbors form the
-    bracket) and a caller-guaranteed unimodal objective on that bracket.
-    Raises ValueError when the argmax sits at a grid endpoint.
-    """
-    result = run_sweep(spec, brush, motor, robot, sim)
-    if result.argmax is None:
-        raise ValueError("sweep produced no evaluable rows to refine")
-    index = next(
-        i for i, row in enumerate(result.rows) if row.value == result.argmax
-    )
-    if index == 0 or index == len(result.rows) - 1:
-        raise ValueError(
-            f"argmax {result.argmax!r} is a grid endpoint; no bracket to refine"
-        )
-    evaluate = _make_objective(spec, brush, motor, robot, sim)
-    return golden_section_max(
-        evaluate, spec.grid[index - 1], spec.grid[index + 1], rel_tol
     )

@@ -103,18 +103,6 @@ def cos_exact(x: float, terms: int = 40) -> Fraction:
     return total
 
 
-def sin_exact(x: float, terms: int = 40) -> Fraction:
-    """Sine of the exact binary64 value of x, in rational arithmetic."""
-    xf = Fraction(x)
-    x2 = xf * xf
-    total = Fraction(0)
-    term = xf
-    for k in range(terms):
-        total += term
-        term = -term * x2 / ((2 * k + 2) * (2 * k + 3))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # numeric boundary value problem oracle for the beam bending shape
 
@@ -145,6 +133,13 @@ def bvp_deflection(brush: BrushParams, force: float, positions) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # time-stepping oracle for the pivot-rotation model (RK4 plus bisection)
+
+def net_moment(robot: RobotParams, motor: MotorParams, t: float) -> float:
+    """Moment about the pivot, m*omega^2*r*sin(omega*t)*w - M*g*w_G in N*m,
+    from the forces and arms rather than the library's flight coefficients."""
+    force = motor.force_amplitude * math.sin(motor.speed * t)
+    return force * robot.forcing_arm - robot.weight * robot.gravity_arm
+
 
 def rk4_hybrid(robot: RobotParams, motor: MotorParams, t_end: float, dt: float):
     """Integrate the hybrid pivot rotation from rest by fixed-step RK4.

@@ -244,6 +244,17 @@ class TestPredictR1:
         assert code == 3
         assert "resonance" in err
 
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
+    def test_overswinging_brush_exits_4(self, tmp_path, capsys, form):
+        # E = 2e5 Pa: a stick-phase angle of ~99 rad against a 0.6 rad inclination
+        sections = {**FULL, "brush": {**BRUSH_SECTION, "young_modulus": "2e5"}}
+        path = write_config(tmp_path, sections)
+        code, out, err = run_cli(capsys, ["predict-r1", "--config", path, *form])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: model domain: stick-phase angle 99.")
+        assert err.endswith(" rad exceeds brush inclination 0.6 rad\n")
+
     def test_missing_robot_section_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"brush": BRUSH_SECTION, "motor": MOTOR_SECTION})
         code, _, err = run_cli(capsys, ["predict-r1", "--config", path])
@@ -589,6 +600,21 @@ class TestNonFiniteValues:
         rows = out_path.read_text(encoding="utf-8").splitlines()
         assert rows[1:] == ["omega,250.0,,invalid", "omega,300.0,,invalid", "# argmax=nan"]
 
+    @pytest.mark.parametrize(
+        "grid",
+        [dict(grid="250, inf"), dict(start="100", stop="1e400", points="5", spacing="log")],
+        ids=["grid", "range"],
+    )
+    def test_infinite_sweep_grid_value_exits_2(self, tmp_path, capsys, grid):
+        sweep = dict(parameter="omega", objective="v_r_regime2", **grid)
+        path = write_config(tmp_path, {**FULL, "sweep": sweep})
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid value inf out of domain for parameter 'omega'\n"
+        assert not out_path.exists()
+
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(config_text(FULL).replace("300.0", "300.0\xb0").encode("latin-1"))
@@ -660,7 +686,6 @@ class TestFuzz:
         )
         return text.encode("utf-8", "surrogateescape")
 
-    @pytest.mark.filterwarnings("ignore::brushdyn.regime1.BrushGeometryWarning")
     def test_malformed_configs_end_in_documented_exit_codes(self, tmp_path, capsys):
         rng = np.random.default_rng(2024)
         path = tmp_path / "fuzz.cfg"

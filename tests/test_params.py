@@ -1,9 +1,9 @@
-"""Parameter validation and the rotating-mass forcing function."""
+"""Parameter validation and the rotating-mass force amplitude."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from brushdyn import (
@@ -12,10 +12,7 @@ from brushdyn import (
     RobotParams,
     SimConfig,
     ValidationError,
-    forcing_at,
 )
-
-from helpers import random_motor, sin_exact
 
 
 class TestBrushValidation:
@@ -122,38 +119,11 @@ class TestRobotValidation:
 
 class TestForcing:
     def test_zero_mass_gives_zero_force(self):
-        motor = MotorParams(0.0, 0.5, 123.0)
-        for t in (0.0, 0.1, 7.0):
-            assert forcing_at(motor, t) == 0.0
+        assert MotorParams(0.0, 0.5, 123.0).force_amplitude == 0.0
 
-    def test_zero_time_gives_zero_force(self):
-        assert forcing_at(MotorParams(1e-3, 2e-3, 100.0), 0.0) == 0.0
-
-    def test_quarter_period_peak(self):
-        # m*omega^2*r*sin(pi/2) = 0.001 * 100^2 * 0.002 = 0.02 N, cross-checked
-        # against an exact rational sine evaluation
+    def test_amplitude_is_m_omega_squared_r(self):
+        # 0.001 * 100^2 * 0.002 = 0.02 N, cross-checked in exact rationals
         motor = MotorParams(0.001, 0.002, 100.0)
-        t = math.pi / 200.0
-        value = forcing_at(motor, t)
-        exact = 0.001 * 100.0**2 * 0.002 * float(sin_exact(100.0 * t))
-        assert value == pytest.approx(0.02, rel=1e-12)
-        assert value == pytest.approx(exact, rel=1e-14)
-
-    def test_periodicity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            motor = random_motor(rng)
-            period = motor.period
-            amplitude = motor.force_amplitude
-            for t in np.linspace(0.0, 10.0 * period, 101):
-                drift = abs(forcing_at(motor, t) - forcing_at(motor, t + period))
-                assert drift <= 1e-9 * amplitude
-
-    def test_peak_over_one_period_is_amplitude(self):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            motor = random_motor(rng)
-            period = motor.period
-            times = list(np.linspace(0.0, period, 2001)) + [period / 4.0]
-            peak = max(abs(forcing_at(motor, t)) for t in times)
-            assert peak == pytest.approx(motor.force_amplitude, rel=1e-9)
+        exact = Fraction(0.001) * Fraction(100.0) ** 2 * Fraction(0.002)
+        assert motor.force_amplitude == pytest.approx(0.02, rel=1e-12)
+        assert motor.force_amplitude == pytest.approx(float(exact), rel=1e-15)

@@ -1,14 +1,13 @@
 """Flexible-brush closed forms: bending, lumped oscillator, speed prediction."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from brushdyn import BrushParams, MotorParams, RobotParams, regime1
-from brushdyn.params import ValidationError
-from brushdyn.regime1 import BrushGeometryWarning, ResonanceError
+from brushdyn.params import ModelDomainError, ValidationError
+from brushdyn.regime1 import ResonanceError
 
 from helpers import bvp_deflection, cos_exact, random_brush, random_motor
 
@@ -279,20 +278,21 @@ class TestStepDisplacement:
             amplitude = 3.0 * theta / math.cos(alpha)
             assert regime1.step_displacement(b, motor_with_amplitude(amplitude)) > 0.0
 
-    def test_overswing_warns(self):
+    def test_overswing_is_a_model_domain_error(self):
         alpha = 0.3
         b = unit_brush(alpha)
         amplitude = 3.0 * (2 * alpha) / math.cos(alpha)
-        with pytest.warns(BrushGeometryWarning):
+        with pytest.raises(ModelDomainError, match="exceeds brush inclination"):
             regime1.step_displacement(b, motor_with_amplitude(amplitude))
 
-    def test_no_warning_inside_geometry(self):
+    def test_domain_ends_just_past_alpha(self):
         alpha = 0.5
         b = unit_brush(alpha)
-        amplitude = 3.0 * (alpha / 2) / math.cos(alpha)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", BrushGeometryWarning)
-            regime1.step_displacement(b, motor_with_amplitude(amplitude))
+        amplitude = 3.0 * alpha / math.cos(alpha)
+        assert regime1.stick_phase_angle(b, motor_with_amplitude(amplitude)) <= alpha
+        regime1.step_displacement(b, motor_with_amplitude(amplitude))
+        with pytest.raises(ModelDomainError):
+            regime1.step_displacement(b, motor_with_amplitude(amplitude * (1 + 1e-9)))
 
 
 class TestGroundSpeed:
@@ -438,10 +438,8 @@ class TestPredict:
         with pytest.raises(ResonanceError):
             regime1.predict(brush, MotorParams(1e-3, 2e-3, omega_n))
 
-    def test_overswing_warns_once(self):
+    def test_overswing_propagates(self):
         # E = 2e5 Pa: the stick-phase angle far exceeds the inclination
         soft = BrushParams(2e5, 1e-12, 0.02, 0.6, 1e-3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.raises(ModelDomainError):
             regime1.predict(soft, MotorParams(1e-3, 2e-3, 300.0))
-        assert [w.category for w in caught] == [BrushGeometryWarning]

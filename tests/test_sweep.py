@@ -1,4 +1,4 @@
-"""Parameter sweeps, per-point error isolation and peak refinement."""
+"""Parameter sweeps and per-point error isolation."""
 
 import math
 
@@ -7,16 +7,15 @@ import pytest
 
 from brushdyn import BrushParams, MotorParams, RobotParams, SimConfig, regime1, regime2
 from brushdyn.params import ValidationError
-from brushdyn.regime1 import BrushGeometryWarning
 from brushdyn.sweep import (
     STATUS_INVALID,
+    STATUS_MODEL_DOMAIN,
     STATUS_NO_CYCLES,
     STATUS_OK,
     STATUS_RESONANCE,
     OBJECTIVES,
+    PARAMETERS,
     SweepSpec,
-    golden_section_max,
-    refine_peak,
     run_sweep,
 )
 
@@ -53,6 +52,10 @@ class TestSweepSpec:
             SweepSpec("alpha", "k_theta", (0.3, math.pi / 2))
         with pytest.raises(ValidationError, match="domain"):
             SweepSpec("omega", "k_theta", (0.0, 1.0))
+        for parameter in PARAMETERS:
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValidationError, match=f"grid value {bad!r} out of"):
+                    SweepSpec(parameter, "k_theta", (0.5, bad))
 
     def test_single_point_grid_allowed(self):
         spec = SweepSpec("omega", "k_theta", (100.0,))
@@ -220,37 +223,6 @@ class TestRunSweep:
             expected = 3.0 * row.value / (0.02**2 * math.cos(0.6))
             assert row.objective == pytest.approx(expected, rel=1e-12)
 
-    def test_deterministic(self, brush, motor):
-        spec = SweepSpec.from_range("omega", "v_r_regime1", 50.0, 500.0, 20)
-        assert run_sweep(spec, brush, motor) == run_sweep(spec, brush, motor)
-
-
-class TestGoldenSection:
-    def test_concave_quadratic_vertex(self):
-        vertex = 1.7324
-        refined = golden_section_max(lambda x: -((x - vertex) ** 2), 0.5, 4.0)
-        assert refined == pytest.approx(vertex, rel=1e-4)
-
-    def test_needs_ordered_bracket(self):
-        with pytest.raises(ValueError):
-            golden_section_max(lambda x: -x * x, 2.0, 1.0)
-
-
-class TestRefinePeak:
-    def test_endpoint_argmax_is_an_error(self, brush, motor):
-        # below resonance the amplitude grows monotonically: argmax lands on
-        # the last grid point, which has no bracket
-        omega_n = regime1.natural_frequency(brush)
-        spec = SweepSpec.from_range(
-            "omega",
-            "forced_amplitude_abs",
-            0.1 * omega_n,
-            omega_n * (1.0 - 2e-3),
-            30,
-        )
-        with pytest.raises(ValueError, match="endpoint"):
-            refine_peak(spec, brush, motor)
-
     def test_sweep_argmax_densifies_toward_guard_boundary(self, brush, motor):
         omega_n = regime1.natural_frequency(brush)
         edge = omega_n * (1.0 - 2e-3)
@@ -271,16 +243,14 @@ class TestRefinePeak:
         assert abs(dense.argmax - edge) <= abs(coarse.argmax - edge)
         assert dense.argmax == pytest.approx(edge, rel=1e-12)
 
-    def test_regime1_speed_peak_matches_dense_grid(self, brush):
-        # v_r(omega) rises, tops out once the stick angle overshoots the
-        # inclination, then falls: a genuine interior maximum
+    def test_overswinging_points_are_model_domain_rows(self, brush):
+        # the stick-phase angle passes the 0.6 rad inclination at ~2335 rad/s
         motor = MotorParams(1e-3, 2e-3, 300.0)
-        spec = SweepSpec.from_range("omega", "v_r_regime1", 1500.0, 3500.0, 21)
-        with pytest.warns(BrushGeometryWarning):
-            refined = refine_peak(spec, brush, motor)
-            dense = np.linspace(1500.0, 3500.0, 10000)
-            speeds = [
-                regime1.ground_speed(brush, MotorParams(1e-3, 2e-3, w)) for w in dense
-            ]
-        oracle = dense[int(np.argmax(speeds))]
-        assert refined == pytest.approx(oracle, abs=2 * (dense[1] - dense[0]))
+        spec = SweepSpec("omega", "v_r_regime1", (1500.0, 3500.0))
+        result = run_sweep(spec, brush, motor)
+        assert [row.status for row in result.rows] == [STATUS_OK, STATUS_MODEL_DOMAIN]
+        assert result.argmax == 1500.0
+
+    def test_deterministic(self, brush, motor):
+        spec = SweepSpec.from_range("omega", "v_r_regime1", 50.0, 500.0, 20)
+        assert run_sweep(spec, brush, motor) == run_sweep(spec, brush, motor)
