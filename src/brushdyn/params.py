@@ -8,7 +8,7 @@ threads or parallel sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,10 +29,10 @@ def _require(condition: bool, message: str) -> None:
 
 def require_finite(params) -> None:
     """Reject an inf or nan float in any field of a parameter dataclass."""
-    for field in fields(params):
-        value = getattr(params, field.name)
-        bad = isinstance(value, float) and not math.isfinite(value)
-        _require(not bad, f"{field.name} must be finite")
+    for name in params.__dataclass_fields__:
+        value = getattr(params, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ MAX_BODY_ANGLE = math.pi / 2.0
 # Flights shorter than this fraction of the forcing period are boundary
 # artifacts (lift-off exactly at the zero-moment point), not real cycles.
 _MIN_FLIGHT_FRACTION = 1e-12
-# Longest window, in grid steps: it bounds the cycle walk and the samples.
+# Longest window, in grid steps: it bounds the samples.
 MAX_GRID_STEPS = 10**7
 
 
@@ -100,9 +100,9 @@ class Regime2Trajectory:
     events: tuple[FlightEvent, ...]
 
 
-def _root(f: Callable, slope: Callable, lo: float, hi: float) -> float:
-    """The end of [lo, hi] on f(hi)'s side of zero once lo and hi are
-    adjacent floats; f(lo) and f(hi) lie on opposite sides (f > 0 or f <= 0).
+def _root(f: Callable, slope: Callable, lo: float, hi: float, above: bool) -> float:
+    """The end of [lo, hi] on f(hi)'s side (f > 0 or f <= 0) once lo and hi
+    are adjacent floats; f(lo) is on the other side, above = f(lo) > 0.
 
     Newton steps on f, whose derivative is slope, from the midpoint (slope
     vanishes at an end of the brackets here). A step that would leave
@@ -110,7 +110,7 @@ def _root(f: Callable, slope: Callable, lo: float, hi: float) -> float:
     caps the cost at about twice bisection's. Each step is aimed two ulps
     past its estimate, so a converged one lands across the root.
     """
-    above, x = f(lo) > 0.0, lo  # x is not inside (lo, hi): the first point bisects
+    x = lo  # x is not inside (lo, hi): the first point bisects
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -136,8 +136,8 @@ class _Flight:
     def __init__(self, c_force, c_grav, omega, psi0, theta0):
         self.c_force, self.c_grav, self.omega = c_force, c_grav, omega
         self.psi0, self.theta0, self.sin0 = psi0, theta0, math.sin(psi0)
-        self.rate0 = c_force / omega * math.cos(psi0)
-        self.swing = c_force / omega**2
+        self.force_omega, self.swing = c_force / omega, c_force / omega**2
+        self.rate0 = self.force_omega * math.cos(psi0)
 
     def theta(self, s: float) -> float:
         lag = math.sin(self.psi0 + self.omega * s) - self.sin0
@@ -145,46 +145,52 @@ class _Flight:
 
     def rate(self, s: float) -> float:
         cos = math.cos(self.psi0 + self.omega * s)
-        return self.rate0 - self.c_force / self.omega * cos - self.c_grav * s
+        return self.rate0 - self.force_omega * cos - self.c_grav * s
 
     def accel(self, s: float) -> float:
         return self.c_force * math.sin(self.psi0 + self.omega * s) - self.c_grav
 
-    def land(self, lift_off: float, limit: float) -> tuple[float, float]:
+    def lift_off(self, k: int) -> float:
+        return (TWO_PI * k + self.psi0) / self.omega
+
+    def land(self, lift_off: float, limit: float) -> tuple[float, float | None]:
         """Touchdown time (math.inf if airborne at ``limit``) and the peak
         angle before it, the larger of theta0 and theta at the maxima of
         theta, each time found by _root as the only root in its bracket:
         theta_ddot changes sign only at the phases rise and pi - rise, theta
-        is monotone between zeros of theta_dot.
+        is monotone between zeros of theta_dot. Values at bracket ends carry
+        over; the peak is None for a flight too short to be a cycle.
         """
         lifts = self.c_grav < self.c_force  # else theta_ddot <= 0: one bracket
         rise = math.asin(self.c_grav / self.c_force) if lifts else 0.0
-        peak = self.theta0
+        peak = angle = self.theta0  # theta(0) is theta0 exactly
         p, index = 0.0, 0 if self.psi0 < rise else 1  # the first turn after psi0
+        v_p = self.rate(p)
         while p < limit:
             q = limit
             if lifts:
                 phase = (rise, math.pi - rise)[index % 2] + TWO_PI * (index // 2)
                 q = min(q, (phase - self.psi0) / self.omega)
                 index += 1
-            v_p, v_q = self.rate(p), self.rate(q)
+            v_q = self.rate(q)
             if v_p > 0.0 > v_q or v_p < 0.0 < v_q:
-                pieces = ((_root(self.rate, self.accel, p, q), v_p > 0.0),
+                pieces = ((_root(self.rate, self.accel, p, q, v_p > 0.0), v_p > 0.0),
                           (q, v_q > 0.0))
             else:
                 pieces = ((q, v_p > 0.0 or v_q > 0.0),)
             for q, rising in pieces:  # theta is monotone on [p, q]
-                angle = self.theta(q)
+                start, angle = angle, self.theta(q)
                 if not rising and angle <= 0.0:
-                    return _root(self.theta, self.rate, p, q), peak
+                    duration = _root(self.theta, self.rate, p, q, start > 0.0)
+                    short = duration < _MIN_FLIGHT_FRACTION * (TWO_PI / self.omega)
+                    return duration, None if short else peak
                 if rising and angle > MAX_BODY_ANGLE:
-                    raise ModelDomainError(
-                        f"body angle {angle:.6g} rad exceeds pi/2 at "
-                        f"t = {lift_off + q:.6g} s"
-                    )
-                if rising and self.rate(q) <= 0.0:
+                    raise ModelDomainError(f"body angle {angle:.6g} rad exceeds pi/2 "
+                                           f"at t = {lift_off + q:.6g} s")
+                if rising and v_q <= 0.0:  # theta_dot at q is on v_q's side
                     peak = max(peak, angle)
                 p = q
+            v_p = v_q
         return math.inf, peak
 
 
@@ -192,24 +198,13 @@ def _steps(cfg: SimConfig) -> int:
     return math.floor(cfg.t_end / cfg.dt + 1e-9)
 
 
-def _cycle(flight, lift_off, landing, end, period) -> tuple:
-    """(lift_off, touchdown, peak, flight); touchdown is math.inf if the
-    flight is airborne at the window end, peak None unless it counts."""
-    duration, peak = landing
-    touchdown = lift_off + duration
-    if touchdown > end:
-        return lift_off, math.inf, None, flight
-    if duration < _MIN_FLIGHT_FRACTION * period:
-        return lift_off, touchdown, None, flight
-    return lift_off, touchdown, peak, flight
-
-
 def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
+    """Runs (flight, ks, duration, landed, peak) of one flight shifted by
+    whole periods: it lifts off at flight.lift_off(k) for k in ks, and the
+    first ``landed`` touch down inside the window; one more may be airborne."""
     period = motor.period
     if cfg.dt > period / 200.0:
-        raise ValidationError(
-            f"dt {cfg.dt:.6g} exceeds T/200 = {period / 200.0:.6g} s"
-        )
+        raise ValidationError(f"dt {cfg.dt:.6g} exceeds T/200 = {period / 200.0:.6g} s")
     if cfg.t_end < 5.0 * period:
         raise ValidationError(
             f"t_end {cfg.t_end:.6g} below five forcing periods {5.0 * period:.6g} s"
@@ -221,34 +216,40 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
     c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
     end = _steps(cfg) * cfg.dt
-    cycles, at_rest = [], 0.0
+    runs, at_rest = [], 0.0
     if cfg.theta0 > 0.0:
         flight = _Flight(c_force, c_grav, omega, 0.0, cfg.theta0)
-        cycles.append(_cycle(flight, 0.0, flight.land(0.0, end), end, period))
-        at_rest = cycles[0][1]
+        duration, peak = flight.land(0.0, end)
+        at_rest = duration if duration <= end else math.inf
+        runs.append((flight, range(1), duration, int(at_rest < math.inf), peak))
     if not (c_grav < c_force and at_rest < end):
-        return cycles  # no lift-off from rest inside the window
+        return runs  # no lift-off from rest inside the window
 
     # Lift-offs from rest sit on the rising zeros (2*pi*k + rise)/omega of the
-    # net moment, each the first at or after the body came to rest.
+    # net moment, the first at or after the body came to rest.
     rise = math.asin(c_grav / c_force)
-    k = max(0, math.ceil((omega * at_rest - rise) / TWO_PI))
-    lift_off = (TWO_PI * k + rise) / omega
     flight = _Flight(c_force, c_grav, omega, rise, 0.0)
-    landing = flight.land(lift_off, end - lift_off) if lift_off < end else None
-    while lift_off < end:
-        cycles.append(_cycle(flight, lift_off, landing, end, period))
-        if cycles[-1][1] == math.inf:
-            break
-        k += max(1, math.ceil(landing[0] * omega / TWO_PI))
-        lift_off = (TWO_PI * k + rise) / omega
-    return cycles
+    k = max(0, math.ceil((omega * at_rest - rise) / TWO_PI))
+    if not flight.lift_off(k) < end:
+        return runs
+    duration, peak = flight.land(flight.lift_off(k), end - flight.lift_off(k))
+    if duration == math.inf:
+        return runs + [(flight, range(k, k + 1), duration, 0, peak)]
+    step = max(1, math.ceil(duration * omega / TWO_PI))
+    # Division estimates how many land inside the window, and rounding can put
+    # it one too high: count up from one below it against the times themselves.
+    last = math.floor(((end - duration) * omega - rise) / TWO_PI)
+    landed = max(0, (last - k) // step)
+    while (t := flight.lift_off(k + landed * step)) < end and t + duration <= end:
+        landed += 1
+    flights = landed + (t < end)  # the one after them lifts off, but lands too late
+    return runs + [(flight, range(k, k + flights * step, step), duration, landed, peak)]
 
 
 def cycle_peaks(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> tuple:
     """``simulate(robot, motor, cfg).cycle_peaks`` without sampling the flights."""
-    # a list, not a generator: on CPython 3.11 one per call raised peak RSS
-    return tuple([c[2] for c in _cycles(robot, motor, cfg) if c[2] is not None])
+    runs = _cycles(robot, motor, cfg)  # each landed flight of a run has its peak
+    return sum([(peak,) * landed for *_, landed, peak in runs if peak is not None], ())
 
 
 def simulate(
@@ -268,45 +269,43 @@ def simulate(
     Raises ValidationError when dt or t_end violate the resolution guards
     and ModelDomainError if the body angle exceeds pi/2 inside the window.
     """
-    cycles = _cycles(robot, motor, cfg)
     dt, stride, steps = cfg.dt, cfg.record_stride, _steps(cfg)
     # tuple.__new__ builds each Sample without its Python-level __new__
     sin, cos, new = math.sin, math.cos, tuple.__new__
-    x, samples, k = 0.0, [], 0
-    after = (math.inf, math.inf, None, None)  # rest through the window end
-    for lift_off, touchdown, peak, flight in cycles + [after]:
-        while k <= steps and k * dt < lift_off:
-            samples.append(new(Sample, (k * dt, 0.0, 0.0, 0.0, x)))
-            k += stride
-        if flight is None:
-            break
+    x, samples, peaks, events, k = 0.0, [], [], [], 0
+    for flight, ks, duration, landed, peak in _cycles(robot, motor, cfg):
         # _Flight.theta and _Flight.rate inlined with one sin per sample
-        top = math.inf if peak is None else peak
         c_force, c_grav, omega = flight.c_force, flight.c_grav, flight.omega
         psi0, theta0, sin0 = flight.psi0, flight.theta0, flight.sin0
-        rate0, swing, force_omega = flight.rate0, flight.swing, c_force / omega
-        while k <= steps and k * dt < touchdown:
-            t = k * dt
-            k += stride
-            s = t - lift_off
-            phase = psi0 + omega * s
-            sine = sin(phase)
-            theta = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
-            rate = rate0 - force_omega * cos(phase) - c_grav * s
-            theta = 0.0 if theta < 0.0 else theta if theta < top else top
-            samples.append(new(Sample, (t, theta, rate, c_force * sine - c_grav, x)))
-        if peak is not None:
-            x += robot.step_height * sin(peak)
-            samples.append(new(Sample, (touchdown, 0.0, 0.0, 0.0, x)))
-            if k * dt <= touchdown:
-                k += stride  # a touchdown sample already stands here
-
-    counted = [c for c in cycles if c[2] is not None]
-    return Regime2Trajectory(
-        samples=tuple(samples),
-        cycle_peaks=tuple([c[2] for c in counted]),
-        events=tuple([FlightEvent(c[0], c[1]) for c in counted]),
-    )
+        rate0, swing, force_omega = flight.rate0, flight.swing, flight.force_omega
+        for i, lift_off in enumerate(map(flight.lift_off, ks)):
+            counted = i < landed and peak is not None
+            touchdown = lift_off + duration if i < landed else math.inf
+            top = peak if counted else math.inf
+            while k <= steps and k * dt < lift_off:
+                samples.append(new(Sample, (k * dt, 0.0, 0.0, 0.0, x)))
+                k += stride
+            while k <= steps and k * dt < touchdown:
+                t = k * dt
+                k += stride
+                s = t - lift_off
+                phase = psi0 + omega * s
+                sine = sin(phase)
+                theta = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
+                rate = rate0 - force_omega * cos(phase) - c_grav * s
+                theta = 0.0 if theta < 0.0 else theta if theta < top else top
+                samples.append(new(Sample, (t, theta, rate, c_force * sine - c_grav, x)))
+            if counted:
+                x += robot.step_height * sin(peak)
+                samples.append(new(Sample, (touchdown, 0.0, 0.0, 0.0, x)))
+                peaks.append(peak)
+                events.append(FlightEvent(lift_off, touchdown))
+                if k * dt <= touchdown:
+                    k += stride  # a touchdown sample already stands here
+    while k <= steps:  # rest through the window end
+        samples.append(new(Sample, (k * dt, 0.0, 0.0, 0.0, x)))
+        k += stride
+    return Regime2Trajectory(tuple(samples), tuple(peaks), tuple(events))
 
 
 def steady_peak(peaks: Sequence[float]) -> float:

@@ -31,7 +31,8 @@ def _positive(value: float) -> bool:
 # Sweep parameter name -> (grid domain, apply(value, brush, motor) giving the
 # brush and motor at that grid value).
 PARAMETERS: dict[str, tuple[Callable[[float], bool], Callable]] = {
-    "omega": (_positive, lambda v, b, m: (b, replace(m, speed=v))),
+    "omega": (_positive,  # built directly: replace inspects the fields per call
+              lambda v, b, m: (b, MotorParams(m.eccentric_mass, m.eccentricity, v))),
     "alpha": (
         lambda v: 0.0 < v < math.pi / 2.0,
         lambda v, b, m: (replace(b, inclination=v), m),
@@ -117,7 +118,7 @@ class SweepSpec:
             raise ValidationError(
                 f"unknown spacing {spacing!r}; expected linear or log"
             )
-        grid[-1] = stop  # kill accumulation error at the endpoint
+        grid[0], grid[-1] = start, stop  # as written: an inf step made grid[0] nan
         return cls(parameter=parameter, objective=objective, grid=tuple(grid))
 
 

@@ -3,9 +3,10 @@
 The oracles deliberately take different numerical routes than the library
 (exact rational series, collocation BVP solves, fixed-step RK4 time stepping
 with bisection for the rigid regime, whose library solver is the exact
-event-driven closed form, and grid scans plus bisection on that closed form
-in another arrangement for its Newton event location) so that agreement
-actually means something.
+event-driven closed form, grid scans plus bisection on that closed form
+in another arrangement for its Newton event location, and a walk over the
+window one flight at a time for its closed-form cycle count) so that
+agreement actually means something.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from brushdyn import BrushParams, MotorParams, RobotParams
+from brushdyn import BrushParams, MotorParams, RobotParams, regime2
 
 REFERENCE_ROBOT = dict(
     body_mass=0.05,
@@ -265,3 +266,54 @@ def flight_events(c_force: float, c_grav: float, omega: float, psi0: float,
             return (touchdown if touchdown < limit else None), peak
         s, v, th = s_next, v_next, th_next
     return None, peak
+
+
+# ---------------------------------------------------------------------------
+# walk oracle for the number of flights in a regime-2 window
+
+def walk_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
+    """(lift_off, touchdown, peak) of every flight in the window of
+    ``regime2.simulate``: touchdown is math.inf for a flight airborne at the
+    window end, peak None unless the flight counts as a cycle.
+
+    Independent route to the library's closed-form count of the flights
+    from rest: the window is walked one flight at a time, each lift-off the
+    first rising zero of the net moment a whole number of periods after the
+    touchdown before it, and each flight is tested against the window end
+    and the shortest counted flight as it comes. A flight's landing (its
+    duration and peak) is the library's event location, which
+    flight_events checks on its own.
+    """
+    period, omega = motor.period, motor.speed
+    c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
+    c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
+    end = math.floor(cfg.t_end / cfg.dt + 1e-9) * cfg.dt
+
+    def flight(lift_off, landing):
+        duration, peak = landing
+        if lift_off + duration > end:
+            return lift_off, math.inf, None
+        if duration < regime2._MIN_FLIGHT_FRACTION * period:
+            return lift_off, lift_off + duration, None
+        return lift_off, lift_off + duration, peak
+
+    flights, at_rest = [], 0.0
+    if cfg.theta0 > 0.0:
+        tilted = regime2._Flight(c_force, c_grav, omega, 0.0, cfg.theta0)
+        flights.append(flight(0.0, tilted.land(0.0, end)))
+        at_rest = flights[0][1]
+    if not (c_grav < c_force and at_rest < end):
+        return flights
+    rise = math.asin(c_grav / c_force)
+    k = max(0, math.ceil((omega * at_rest - rise) / (2.0 * math.pi)))
+    lift_off = (2.0 * math.pi * k + rise) / omega
+    if not lift_off < end:
+        return flights
+    landing = regime2._Flight(c_force, c_grav, omega, rise, 0.0).land(lift_off, end - lift_off)
+    while lift_off < end:
+        flights.append(flight(lift_off, landing))
+        if flights[-1][1] == math.inf:
+            break
+        k += max(1, math.ceil(landing[0] * omega / (2.0 * math.pi)))
+        lift_off = (2.0 * math.pi * k + rise) / omega
+    return flights

@@ -527,6 +527,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
+    def test_runtime_imports_only_the_standard_library(self):
+        # -S: no site-packages on the path, so a stray import fails here too
+        code = (
+            "import sys; before = set(sys.modules); import brushdyn.cli; "
+            "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=SRC_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = proc.stdout.split()
+        assert "brushdyn" in imported
+        assert [name for name in imported
+                if name != "brushdyn" and name not in sys.stdlib_module_names] == []
+
     @pytest.mark.parametrize("command", ["predict-r1", "classify"])
     def test_out_rejected_where_unused(self, tmp_path, capsys, command):
         path = write_config(tmp_path, FULL)
@@ -613,6 +628,25 @@ class TestNonFiniteValues:
         assert code == 2
         assert out == ""
         assert err == "error: grid value inf out of domain for parameter 'omega'\n"
+        assert not out_path.exists()
+
+    # a linear span that overflows spaces the grid by an infinite step; the
+    # error names the endpoint that was written, not the nan first point
+    @pytest.mark.parametrize(
+        "start, stop, named",
+        [("100", "1e400", "inf"), ("-1e400", "100", "-inf"), ("-1e308", "1e308", "-1e+308")],
+    )
+    def test_overflowing_linear_range_names_an_endpoint(
+        self, tmp_path, capsys, start, stop, named
+    ):
+        sweep = dict(parameter="omega", objective="k_theta", start=start, stop=stop,
+                     points="5", spacing="linear")
+        path = write_config(tmp_path, {**FULL, "sweep": sweep})
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: grid value {named} out of domain for parameter 'omega'\n"
         assert not out_path.exists()
 
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):

@@ -23,6 +23,7 @@ from helpers import (
     reference_motor,
     reference_robot,
     rk4_hybrid,
+    walk_flights,
 )
 
 
@@ -416,7 +417,9 @@ class TestRootFinder:
             calls.append(x)
             return f(x)
 
-        root = regime2._root(counted, slope, lo, hi)
+        # the side of f(lo) is the caller's to know; it counts as an evaluation
+        root = regime2._root(counted, slope, lo, hi, counted(lo) > 0.0)
+        assert calls.count(lo) == 1 and hi not in calls  # f only inside (lo, hi)
         newton_calls = len(calls)
         calls.clear()
         assert root == bisect(counted, lo, hi)
@@ -424,6 +427,59 @@ class TestRootFinder:
         assert lo <= below < root <= hi
         assert (f(root) > 0.0) == (f(hi) > 0.0) != (f(below) > 0.0)
         assert newton_calls <= 2 * len(calls)
+
+
+class TestLandEvaluations:
+    """_Flight.land evaluates theta, theta_dot and theta_ddot at most once
+    per time: values at bracket ends carry over, and _root is told the side
+    of its lower end."""
+
+    @staticmethod
+    def assert_no_repeats(flight, limit):
+        expected = flight.land(0.0, limit)
+        seen = []
+        for name in ("theta", "rate", "accel"):
+            def wrapped(s, name=name, method=getattr(flight, name)):
+                seen.append((name, s))
+                return method(s)
+
+            setattr(flight, name, wrapped)
+        assert flight.land(0.0, limit) == expected
+        assert seen and len(set(seen)) == len(seen), [
+            pair for pair in set(seen) if seen.count(pair) > 1
+        ]
+
+    @staticmethod
+    def coefficients(robot, motor):
+        c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
+        return c_force, robot.weight * robot.gravity_arm / robot.pivot_inertia
+
+    def test_reference_flight(self, reference_robot, reference_motor):
+        c_force, c_grav = self.coefficients(reference_robot, reference_motor)
+        rise = math.asin(c_grav / c_force)
+        for psi0, theta0 in ((rise, 0.0), (0.0, 0.05)):
+            flight = regime2._Flight(c_force, c_grav, reference_motor.speed, psi0, theta0)
+            self.assert_no_repeats(flight, 0.5)
+        for rho in (1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9):  # flat, short flights
+            c_grav = rho * c_force
+            rise = math.asin(rho)
+            flight = regime2._Flight(c_force, c_grav, reference_motor.speed, rise, 0.0)
+            self.assert_no_repeats(flight, 0.5)
+
+    def test_seeded_flights(self):
+        # tilted starts, rho = c_g/c_f in 0.1-0.9 and 0.9-0.99, gravity_arm 0
+        rng = np.random.default_rng(909)
+        for index in range(150):
+            family = TestEventLocation.FAMILIES[index % 3]
+            robot, motor, cfg = event_case(rng, family, 1)
+            c_force, c_grav = self.coefficients(robot, motor)
+            rise = math.asin(c_grav / c_force)
+            start = (0.0, cfg.theta0) if cfg.theta0 > 0.0 else (rise, 0.0)
+            flight = regime2._Flight(c_force, c_grav, motor.speed, *start)
+            try:
+                self.assert_no_repeats(flight, cfg.t_end)
+            except ModelDomainError:
+                assert family == "no_arm"
 
 
 def event_case(rng, family, stride):
@@ -485,6 +541,81 @@ class TestEventLocation:
                 assert peak == pytest.approx(oracle_peak, rel=1e-12, abs=0.0), (index, event)
                 events += 1
         assert events > 300
+
+
+class TestCycleCount:
+    """The closed-form count of the flights in a window against a walk over
+    it one flight at a time (helpers.walk_flights)."""
+
+    @staticmethod
+    def assert_matches_walk(robot, motor, cfg):
+        try:
+            walked = walk_flights(robot, motor, cfg)
+        except ModelDomainError:
+            with pytest.raises(ModelDomainError):
+                regime2.simulate(robot, motor, cfg)
+            with pytest.raises(ModelDomainError):
+                regime2.cycle_peaks(robot, motor, cfg)
+            return []
+        flights = [  # every lift-off of the closed-form runs, airborne last
+            (flight.lift_off(k), *(
+                (flight.lift_off(k) + duration, peak) if i < landed else (math.inf, None)
+            ))
+            for flight, ks, duration, landed, peak in regime2._cycles(robot, motor, cfg)
+            for i, k in enumerate(ks)
+        ]
+        assert flights == walked
+        counted = [f for f in walked if f[2] is not None]
+        traj = regime2.simulate(robot, motor, cfg)
+        assert traj.events == tuple((lift_off, touchdown) for lift_off, touchdown, _ in counted)
+        assert traj.cycle_peaks == tuple(peak for *_, peak in counted)
+        assert regime2.cycle_peaks(robot, motor, cfg) == traj.cycle_peaks
+        return walked
+
+    def test_seeded_windows_match_walk(self):
+        rng = np.random.default_rng(707)
+        flights = 0
+        for index in range(90):
+            robot, motor, dt, theta0 = random_flights(rng)
+            cfg = SimConfig(rng.uniform(5.0, 30.0) * motor.period, dt, theta0, 1)
+            flights += len(self.assert_matches_walk(robot, motor, cfg))
+            family = TestEventLocation.FAMILIES[index % 3]
+            flights += len(self.assert_matches_walk(*event_case(rng, family, 7)))
+        assert flights > 1000
+
+    def test_no_lift_and_runaway_match_walk(self, reference_robot, reference_motor):
+        weak = MotorParams(1e-4, 2e-3, 300.0)  # c_g > c_f: never lifts from rest
+        for theta0 in (0.0, 0.02):
+            cfg = SimConfig(0.5, 1e-4, theta0)
+            assert self.assert_matches_walk(reference_robot, weak, cfg) == (
+                [] if theta0 == 0.0 else walk_flights(reference_robot, weak, cfg)
+            )
+        runaway = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04)
+        cfg = SimConfig(t_end=0.5, dt=1e-4)
+        assert self.assert_matches_walk(runaway, MotorParams(0.01, 0.01, 300.0), cfg) == []
+
+    def test_window_ends_within_ulps_of_an_event(self):
+        # end = N*dt with dt = t/N put a few ulps to either side of a
+        # touchdown or lift-off t, which decides whether that flight counts
+        # or exists at all
+        rng = np.random.default_rng(708)
+        at_event = airborne = 0
+        for index in range(100):
+            robot, motor, dt, theta0 = random_flights(rng)
+            period = motor.period
+            walked = walk_flights(robot, motor, SimConfig(30.0 * period, dt, theta0))
+            for column in (0, 1, 1, 1):  # a lift-off, then touchdowns
+                times = [f[column] for f in walked if 6.0 * period < f[column] < math.inf]
+                t = times[rng.integers(len(times))]
+                steps = math.ceil(t / (period / 200.0)) + int(rng.integers(0, 40))
+                dt = t / steps
+                for _ in range(int(rng.integers(0, 4))):
+                    dt = math.nextafter(dt, math.inf if rng.random() < 0.5 else 0.0)
+                cfg = SimConfig(steps * dt, dt, theta0, int(rng.integers(20, 60)))
+                flights = self.assert_matches_walk(robot, motor, cfg)
+                at_event += abs(steps * dt - t) <= 4.0 * math.ulp(t)
+                airborne += flights[-1][1] == math.inf
+        assert at_event > 300 and airborne > 80
 
 
 class TestModelDomain:

@@ -1,6 +1,7 @@
 """Parameter sweeps and per-point error isolation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ class TestSweepSpec:
     def test_log_needs_positive_start(self):
         with pytest.raises(ValidationError, match="start"):
             SweepSpec.from_range("alpha", "k_theta", -1.0, 1.0, 5, spacing="log")
+
+    @pytest.mark.parametrize(
+        "parameter, start, stop, named",
+        [
+            ("omega", 100.0, math.inf, "inf"),  # infinite step, nan first point
+            ("omega", -math.inf, 100.0, "-inf"),
+            ("omega", -1e308, 1e308, "-1e+308"),  # the span overflows
+            ("alpha", 0.1, 3.0, "2.275"),  # the first grid value past pi/2
+        ],
+    )
+    def test_out_of_domain_range_names_a_grid_value(self, parameter, start, stop, named):
+        message = f"grid value {named} out of domain for parameter '{parameter}'"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SweepSpec.from_range(parameter, "k_theta", start, stop, 5)
 
 
 class TestRunSweep:
