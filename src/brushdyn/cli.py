@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Four subcommands over a shared config file. Exit codes: 0 success,
-2 config or validation problem (arithmetic overflow included), 3 resonance
-guard, 4 model-domain abort.
+2 usage, config or validation problem (a value past the float range
+included), 3 resonance guard, 4 model-domain abort.
 All output is deterministic: the same config produces byte-identical
 results on every run.
 """
@@ -38,12 +38,6 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def _require_sections(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise ConfigError(f"missing [{name}] section in config")
-
-
 def _require_finite(pairs: list[tuple[str, object]]) -> None:
     """Refuse a result that overflowed to inf or nan before printing any of
     it: JSON cannot carry one, and the table form exits the same way."""
@@ -61,9 +55,7 @@ def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
             print(f"{name} {_fmt(value)}")
 
 
-def cmd_predict_r1(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    _require_sections(cfg, "brush", "motor", "robot")
+def cmd_predict_r1(cfg: RunConfig, args: argparse.Namespace) -> None:
     prediction = regime1.predict(cfg.brush, cfg.motor)
     validity = regime1.regime1_validity(cfg.motor, cfg.robot)
     pairs = [
@@ -79,14 +71,9 @@ def cmd_predict_r1(args: argparse.Namespace) -> int:
         ("margin", validity.margin),
     ]
     _emit(pairs, args.json)
-    return EXIT_OK
 
 
-def cmd_simulate_r2(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise ConfigError("simulate-r2 needs --out PATH for the trajectory file")
-    cfg = load_config(args.config)
-    _require_sections(cfg, "robot", "motor", "sim")
+def cmd_simulate_r2(cfg: RunConfig, args: argparse.Namespace) -> None:
     traj = regime2.simulate(cfg.robot, cfg.motor, cfg.sim)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -112,40 +99,29 @@ def cmd_simulate_r2(args: argparse.Namespace) -> int:
         ],
         args.json,
     )
-    return EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    _require_sections(cfg, "brush", "motor", "robot")
+def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> None:
     report = classify_mod.classify(cfg.brush, cfg.motor, cfg.robot)
     scores = [
         ("lift_ratio", report.lift_ratio),
         ("stiffness_score", report.stiffness_score),
         ("alpha_margin", report.alpha_margin),
     ]
-    _require_finite(scores)
     if args.json:
-        payload = {"regime": report.regime.value, **dict(scores),
-                   "rationale": list(report.rationale)}
-        print(json.dumps(payload, allow_nan=False))
-    else:
-        print(f"regime: {report.regime.value}")
-        for name, value in scores:
-            print(f"{name}: {value!r}")
-        print("rationale:")
-        for line in report.rationale:
-            print(f"  {line}")
-    return EXIT_OK
+        _emit([("regime", report.regime.value), *scores,
+               ("rationale", list(report.rationale))], as_json=True)
+        return
+    _require_finite(scores)
+    print(f"regime: {report.regime.value}")
+    for name, value in scores:
+        print(f"{name}: {value!r}")
+    print("rationale:")
+    for line in report.rationale:
+        print(f"  {line}")
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise ConfigError("sweep needs --out PATH for the CSV file")
-    cfg = load_config(args.config)
-    _require_sections(cfg, "sweep", "brush", "motor")
-    if cfg.sweep.objective == "v_r_regime2":
-        _require_sections(cfg, "robot", "sim")
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     result = sweep_mod.run_sweep(cfg.sweep, cfg.brush, cfg.motor, cfg.robot, cfg.sim)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -163,52 +139,55 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ],
         args.json,
     )
-    return EXIT_OK
 
 
+# Command -> (handler, config sections it needs, what --out holds or None
+# when it writes no file, help text).
 _COMMANDS = {
-    "predict-r1": cmd_predict_r1,
-    "simulate-r2": cmd_simulate_r2,
-    "classify": cmd_classify,
-    "sweep": cmd_sweep,
+    "predict-r1": (cmd_predict_r1, ("brush", "motor", "robot"), None,
+                   "flexible-brush closed-form prediction table"),
+    "simulate-r2": (cmd_simulate_r2, ("robot", "motor", "sim"), "trajectory",
+                    "rigid-pivot hybrid simulation to a trajectory file"),
+    "classify": (cmd_classify, ("brush", "motor", "robot"), None,
+                 "operating-regime report"),
+    "sweep": (cmd_sweep, ("sweep", "brush", "motor"), "CSV",
+              "parameter sweep to a CSV file"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, metavar="PATH",
-                        help="run configuration file")
-    common.add_argument("--json", action="store_true",
-                        help="emit a single JSON object instead of a table")
-    writes_file = argparse.ArgumentParser(add_help=False)
-    writes_file.add_argument("--out", metavar="PATH", default=None,
-                             help="output file (simulate-r2 trajectory, sweep CSV)")
-
     parser = argparse.ArgumentParser(
         prog="brushdyn",
         description="Vibration-driven brushbot locomotion predictions.",
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    commands.add_parser("predict-r1", parents=[common],
-                        help="flexible-brush closed-form prediction table")
-    commands.add_parser("simulate-r2", parents=[common, writes_file],
-                        help="rigid-pivot hybrid simulation to a trajectory file")
-    commands.add_parser("classify", parents=[common],
-                        help="operating-regime report")
-    commands.add_parser("sweep", parents=[common, writes_file],
-                        help="parameter sweep to a CSV file")
+    for name, (_, _, writes, help_text) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text)
+        command.add_argument("--config", required=True, metavar="PATH",
+                             help="run configuration file")
+        command.add_argument("--json", action="store_true",
+                             help="emit a single JSON object instead of a table")
+        if writes is not None:
+            command.add_argument("--out", required=True, metavar="PATH",
+                                 help=f"output {writes} file")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handler, sections, _, _ = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        cfg = load_config(args.config)
+        for name in sections:
+            if getattr(cfg, name) is None:
+                raise ConfigError(f"missing [{name}] section in config")
+        handler(cfg, args)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OverflowError as exc:
-        print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:  # an overflow, or a divisor that underflowed to 0
+        kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
+        print(f"error: arithmetic {kind}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except regime1.ResonanceError as exc:
         print(f"error: resonance: {exc}", file=sys.stderr)
@@ -219,6 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

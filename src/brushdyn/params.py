@@ -106,7 +106,7 @@ class RobotParams:
     gravity_arm    m, moment arm of the weight about the pivot (0 allowed:
                    center of mass directly above the pivot)
     step_height    m, lever converting the peak body angle into displacement
-    gravity        m/s^2, a field so the gravity-free case stays testable
+    gravity        m/s^2, > 0 (the default is standard Earth gravity)
     """
 
     body_mass: float

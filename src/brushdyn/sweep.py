@@ -23,6 +23,10 @@ STATUS_MODEL_DOMAIN = "model_domain"
 STATUS_NO_CYCLES = "no_cycles"
 STATUS_INVALID = "invalid"
 
+# Most points a start/stop/points range may ask for: the grid is built in
+# memory before any point is checked.
+MAX_POINTS = 10**6
+
 
 def _positive(value: float) -> bool:
     return 0.0 < value < math.inf
@@ -104,6 +108,8 @@ class SweepSpec:
         """Build a grid of >= 2 points with linear or log spacing."""
         if points < 2:
             raise ValidationError("sweep range needs at least 2 points")
+        if points > MAX_POINTS:
+            raise ValidationError(f"sweep range needs at most {MAX_POINTS:g} points")
         if not stop > start:
             raise ValidationError("sweep range needs stop > start")
         if spacing == "linear":
@@ -112,6 +118,12 @@ class SweepSpec:
         elif spacing == "log":
             if start <= 0.0:
                 raise ValidationError("log spacing needs start > 0")
+            if math.isinf(stop / start):
+                cls(parameter, objective, (start, stop))  # an end out of domain is named first
+                raise ValidationError(
+                    f"log spacing from {start!r} to {stop!r} overflows: "
+                    "stop / start exceeds the float range"
+                )
             ratio = (stop / start) ** (1.0 / (points - 1))
             grid = [start * ratio**i for i in range(points)]
         else:

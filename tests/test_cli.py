@@ -20,7 +20,7 @@ from brushdyn import (
     regime1,
     regime2,
 )
-from brushdyn.cli import main
+from brushdyn.cli import build_parser, main
 from brushdyn.config import ConfigError
 
 from helpers import (
@@ -344,12 +344,6 @@ class TestSimulateR2:
         )
         assert out_path.read_bytes() == expected.encode("utf-8")
 
-    def test_missing_out_exits_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, FULL)
-        code, _, err = run_cli(capsys, ["simulate-r2", "--config", path])
-        assert code == 2
-        assert "--out" in err
-
     def test_model_domain_exits_4(self, tmp_path, capsys):
         sections = {
             **FULL,
@@ -491,6 +485,40 @@ class TestSweepCommand:
         assert payload["rows"] == 3
         assert payload["argmax"] == 300.0
 
+    @pytest.mark.parametrize("missing", ["robot", "sim"])
+    def test_v_r_regime2_without_robot_or_sim_exits_2(self, tmp_path, capsys, missing):
+        sweep = dict(parameter="omega", objective="v_r_regime2", grid="250, 300")
+        sections = {name: keys for name, keys in FULL.items() if name != missing}
+        path = write_config(tmp_path, {**sections, "sweep": sweep})
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: objective v_r_regime2 needs robot and sim parameters\n"
+        assert not out_path.exists()
+
+    def test_points_above_the_cap_exit_2_before_the_grid_is_built(self, tmp_path):
+        # Under a 400 MB address-space limit a 1e9-point grid fails with
+        # MemoryError; the cap refuses the range before building anything.
+        sweep = dict(parameter="omega", objective="k_theta", start="100", stop="200",
+                     points="1000000000")
+        path = write_config(tmp_path, {**FULL, "sweep": sweep})
+        out_path = tmp_path / "sweep.csv"
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+            "from brushdyn.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "sweep", "--config", path, "--out", str(out_path)],
+            capture_output=True, text=True, env=SRC_ENV, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "error: sweep range needs at most 1e+06 points\n"
+        assert not out_path.exists()
+
     def test_csv_byte_determinism(self, tmp_path, capsys):
         sections = {
             "brush": BRUSH_SECTION,
@@ -542,15 +570,34 @@ class TestEntryPoint:
         assert [name for name in imported
                 if name != "brushdyn" and name not in sys.stdlib_module_names] == []
 
-    @pytest.mark.parametrize("command", ["predict-r1", "classify"])
+    # --out is a usage error where no file is written, and missing where one is
+    @pytest.mark.parametrize("command", ["predict-r1", "classify", "simulate-r2", "sweep"])
     def test_out_rejected_where_unused(self, tmp_path, capsys, command):
         path = write_config(tmp_path, FULL)
         out = tmp_path / "unused.txt"
+        argv = [command, "--config", path]
+        if command in ("predict-r1", "classify"):
+            argv += ["--out", str(out)]
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", path, "--out", str(out)])
+            main(argv)
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_readme_usage_lines_match_the_out_requirement(self, capsys):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        usage = re.findall(r"^brushdyn +(\S+)(.*)$", text, re.M)
+        assert sorted(command for command, _ in usage) == [
+            "classify", "predict-r1", "simulate-r2", "sweep"
+        ]
+        for command, rest in usage:
+            try:
+                build_parser().parse_args([command, "--config", "run.cfg"])
+                exits_2 = False
+            except SystemExit as exc:
+                exits_2 = exc.code == 2
+            capsys.readouterr()
+            assert ("--out" in rest) == exits_2, command
 
 
 class TestNonFiniteValues:
@@ -631,22 +678,34 @@ class TestNonFiniteValues:
         assert not out_path.exists()
 
     # a linear span that overflows spaces the grid by an infinite step; the
-    # error names the endpoint that was written, not the nan first point
+    # error names the endpoint that was written, not the nan first point. A
+    # log range whose stop / start overflows names both of its ends.
     @pytest.mark.parametrize(
-        "start, stop, named",
-        [("100", "1e400", "inf"), ("-1e400", "100", "-inf"), ("-1e308", "1e308", "-1e+308")],
+        "spacing, start, stop, error",
+        [
+            pytest.param("linear", "100", "1e400", "grid value inf out of domain for "
+                         "parameter 'omega'", id="100-1e400-inf"),
+            pytest.param("linear", "-1e400", "100", "grid value -inf out of domain for "
+                         "parameter 'omega'", id="-1e400-100--inf"),
+            pytest.param("linear", "-1e308", "1e308", "grid value -1e+308 out of domain for "
+                         "parameter 'omega'", id="-1e308-1e308--1e+308"),
+            pytest.param("log", "1e-200", "1e200", "log spacing from 1e-200 to 1e+200 "
+                         "overflows: stop / start exceeds the float range", id="log-both-ends"),
+            pytest.param("log", "5e-324", "1", "log spacing from 5e-324 to 1.0 "
+                         "overflows: stop / start exceeds the float range", id="log-subnormal"),
+        ],
     )
     def test_overflowing_linear_range_names_an_endpoint(
-        self, tmp_path, capsys, start, stop, named
+        self, tmp_path, capsys, spacing, start, stop, error
     ):
         sweep = dict(parameter="omega", objective="k_theta", start=start, stop=stop,
-                     points="5", spacing="linear")
+                     points="5", spacing=spacing)
         path = write_config(tmp_path, {**FULL, "sweep": sweep})
         out_path = tmp_path / "sweep.csv"
         code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
         assert code == 2
         assert out == ""
-        assert err == f"error: grid value {named} out of domain for parameter 'omega'\n"
+        assert err == f"error: {error}\n"
         assert not out_path.exists()
 
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
@@ -659,18 +718,42 @@ class TestNonFiniteValues:
         assert "can't decode byte 0xb0" in err
 
     # speed = 1e300 is finite but omega**2 overflows: predict-r1 raises in
-    # regime1, classify computes lift_ratio = inf
-    @pytest.mark.parametrize("command", ["predict-r1", "classify"])
+    # regime1, classify computes lift_ratio = inf. length = 1e-200 and
+    # young_modulus = 5e-324 are positive, but l**2 or EI underflows to a
+    # zero divisor; a sweep over such a brush exits 2 as a whole.
+    @pytest.mark.parametrize(
+        "command, change, kind",
+        [
+            pytest.param("predict-r1", ("motor", "speed", "1e300"), "overflow",
+                         id="predict-r1"),
+            pytest.param("classify", ("motor", "speed", "1e300"), "overflow",
+                         id="classify"),
+            *(
+                pytest.param(command, ("brush", key, value), "underflow",
+                             id=f"{command}-{key}")
+                for command in ("predict-r1", "classify", "sweep")
+                for key, value in (("length", "1e-200"), ("young_modulus", "5e-324"))
+            ),
+        ],
+    )
     @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
-    def test_overflowing_result_exits_2(self, tmp_path, capsys, command, form):
-        sections = {**FULL, "motor": {**MOTOR_SECTION, "speed": "1e300"}}
+    def test_overflowing_result_exits_2(self, tmp_path, capsys, command, change, kind, form):
+        section, key, value = change
+        sections = {**FULL, section: {**FULL[section], key: value}}
+        out_path = tmp_path / "sweep.csv"
+        writes = []
+        if command == "sweep":
+            sections["sweep"] = dict(parameter="omega", objective="forced_amplitude_abs",
+                                     grid="100, 200")
+            writes = ["--out", str(out_path)]
         path = write_config(tmp_path, sections)
-        code, out, err = run_cli(capsys, [command, "--config", path, *form])
+        code, out, err = run_cli(capsys, [command, "--config", path, *form, *writes])
         assert code == 2
         assert out == ""
-        assert err.startswith("error: arithmetic overflow: ")
+        assert err.startswith(f"error: arithmetic {kind}: ")
         assert err.count("\n") == 1
-        if command == "classify":
+        assert not out_path.exists()
+        if command == "classify" and kind == "overflow":
             assert err == "error: arithmetic overflow: lift_ratio is inf\n"
 
 
