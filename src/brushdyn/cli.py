@@ -2,9 +2,9 @@
 
 Four subcommands over a shared config file. Exit codes: 0 success,
 2 usage, config or validation problem (a value past the float range
-included), 3 resonance guard, 4 model-domain abort.
-All output is deterministic: the same config produces byte-identical
-results on every run.
+included), 3 resonance guard, 4 model-domain abort; `sweep.FAILURES` maps
+each library error to its code. All output is deterministic: the same
+config produces byte-identical results on every run.
 """
 
 from __future__ import annotations
@@ -17,12 +17,9 @@ import sys
 from . import classify as classify_mod
 from . import regime1, regime2, sweep as sweep_mod
 from .config import ConfigError, RunConfig, load_config
-from .params import ModelDomainError, ValidationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_RESONANCE = 3
-EXIT_MODEL_DOMAIN = 4
 
 TRAJECTORY_HEADER = "t th thdot thddot x"
 SWEEP_HEADER = "param,value,objective,status"
@@ -182,22 +179,13 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(cfg, name) is None:
                 raise ConfigError(f"missing [{name}] section in config")
         handler(cfg, args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ArithmeticError as exc:  # an overflow, or a divisor that underflowed to 0
-        kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
-        print(f"error: arithmetic {kind}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except regime1.ResonanceError as exc:
-        print(f"error: resonance: {exc}", file=sys.stderr)
-        return EXIT_RESONANCE
-    except ModelDomainError as exc:
-        print(f"error: model domain: {exc}", file=sys.stderr)
-        return EXIT_MODEL_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except sweep_mod.FAILURE_TYPES as exc:
+        _, code, label = sweep_mod.failure(exc)
+        print(f"error: {label}{exc.args[-1]}", file=sys.stderr)  # not an errno tuple
+        return code
     return EXIT_OK
 
 

@@ -1,10 +1,10 @@
 """Design and frequency sweeps of one objective over a grid of one parameter.
 
 A sweep evaluates one objective over a grid of one parameter while holding
-everything else fixed. Points that cannot be evaluated (resonance guard,
-model-domain aborts, no completed cycles) become status-flagged rows instead
-of aborting the whole sweep, because sweeps routinely cross those boundaries
-on purpose.
+everything else fixed. A point that raises an error in `FAILURES` (resonance
+guard, model domain, no completed cycles, invalid parameters, overflow,
+underflow) or gives a non-finite objective becomes a status-flagged row
+instead of aborting the whole sweep: sweeps cross those boundaries on purpose.
 """
 
 from __future__ import annotations
@@ -23,9 +23,27 @@ STATUS_MODEL_DOMAIN = "model_domain"
 STATUS_NO_CYCLES = "no_cycles"
 STATUS_INVALID = "invalid"
 
+# Error class -> (sweep row status, CLI exit code, stderr label). An error
+# takes the entry of its most specific class here, so an OverflowError is not
+# read as an underflow.
+FAILURES: dict[type[Exception], tuple[str, int, str]] = {
+    regime1.ResonanceError: (STATUS_RESONANCE, 3, "resonance: "),
+    ModelDomainError: (STATUS_MODEL_DOMAIN, 4, "model domain: "),
+    regime2.NoCompletedCycleError: (STATUS_NO_CYCLES, 2, ""),
+    ValidationError: (STATUS_INVALID, 2, ""),
+    OverflowError: (STATUS_INVALID, 2, "arithmetic overflow: "),
+    ArithmeticError: (STATUS_INVALID, 2, "arithmetic underflow: "),
+}
+FAILURE_TYPES = tuple(FAILURES)
+
 # Most points a start/stop/points range may ask for: the grid is built in
 # memory before any point is checked.
 MAX_POINTS = 10**6
+
+
+def failure(exc: Exception) -> tuple[str, int, str]:
+    """The FAILURES entry of an error that is an instance of FAILURE_TYPES."""
+    return next(FAILURES[cls] for cls in type(exc).__mro__ if cls in FAILURES)
 
 
 def _positive(value: float) -> bool:
@@ -173,17 +191,10 @@ def run_sweep(
     for value in spec.grid:
         try:
             objective = evaluate(*apply(value, brush, motor), robot, sim)
-        except regime1.ResonanceError:
-            rows.append(SweepRow(value, None, STATUS_RESONANCE))
-            continue
-        except ModelDomainError:
-            rows.append(SweepRow(value, None, STATUS_MODEL_DOMAIN))
-            continue
-        except regime2.NoCompletedCycleError:
-            rows.append(SweepRow(value, None, STATUS_NO_CYCLES))
-            continue
-        except ValidationError:
-            rows.append(SweepRow(value, None, STATUS_INVALID))
+            if not math.isfinite(objective):
+                raise OverflowError(f"{spec.objective} is {objective!r}")
+        except FAILURE_TYPES as exc:
+            rows.append(SweepRow(value, None, failure(exc)[0]))
             continue
         rows.append(SweepRow(value, objective, STATUS_OK))
         if objective > best_objective:

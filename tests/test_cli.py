@@ -1,11 +1,13 @@
 """Command surface: output formats, exit codes, determinism."""
 
+import errno
 import json
+import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +15,20 @@ import pytest
 
 from brushdyn import (
     BrushParams,
+    ModelDomainError,
     MotorParams,
+    NoCompletedCycleError,
+    ResonanceError,
     RobotParams,
     SimConfig,
+    ValidationError,
     load_config,
     regime1,
     regime2,
 )
 from brushdyn.cli import build_parser, main
 from brushdyn.config import ConfigError
+from brushdyn.sweep import FAILURES
 
 from helpers import (
     BRUSH_SECTION,
@@ -49,6 +56,15 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sweep_summary(out, form):
+    """rows, argmax and out from the sweep command's stdout, in either form."""
+    if form:
+        return json.loads(out)
+    text = dict(line.split(" ", 1) for line in out.splitlines())
+    argmax = None if text["argmax"] == "nan" else float(text["argmax"])
+    return {"rows": int(text["rows"]), "argmax": argmax, "out": text["out"]}
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -718,9 +734,9 @@ class TestNonFiniteValues:
         assert "can't decode byte 0xb0" in err
 
     # speed = 1e300 is finite but omega**2 overflows: predict-r1 raises in
-    # regime1, classify computes lift_ratio = inf. length = 1e-200 and
-    # young_modulus = 5e-324 are positive, but l**2 or EI underflows to a
-    # zero divisor; a sweep over such a brush exits 2 as a whole.
+    # regime1 (stderr gives the errno text, not its tuple), classify computes
+    # lift_ratio = inf. length = 1e-200 and young_modulus = 5e-324 are
+    # positive, but l**2 or EI underflows to a zero divisor.
     @pytest.mark.parametrize(
         "command, change, kind",
         [
@@ -731,7 +747,7 @@ class TestNonFiniteValues:
             *(
                 pytest.param(command, ("brush", key, value), "underflow",
                              id=f"{command}-{key}")
-                for command in ("predict-r1", "classify", "sweep")
+                for command in ("predict-r1", "classify")
                 for key, value in (("length", "1e-200"), ("young_modulus", "5e-324"))
             ),
         ],
@@ -739,22 +755,118 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
     def test_overflowing_result_exits_2(self, tmp_path, capsys, command, change, kind, form):
         section, key, value = change
-        sections = {**FULL, section: {**FULL[section], key: value}}
-        out_path = tmp_path / "sweep.csv"
-        writes = []
-        if command == "sweep":
-            sections["sweep"] = dict(parameter="omega", objective="forced_amplitude_abs",
-                                     grid="100, 200")
-            writes = ["--out", str(out_path)]
-        path = write_config(tmp_path, sections)
-        code, out, err = run_cli(capsys, [command, "--config", path, *form, *writes])
+        path = write_config(tmp_path, {**FULL, section: {**FULL[section], key: value}})
+        code, out, err = run_cli(capsys, [command, "--config", path, *form])
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: arithmetic {kind}: ")
         assert err.count("\n") == 1
-        assert not out_path.exists()
         if command == "classify" and kind == "overflow":
             assert err == "error: arithmetic overflow: lift_ratio is inf\n"
+        if command == "predict-r1" and kind == "overflow":
+            assert err == f"error: arithmetic overflow: {os.strerror(errno.ERANGE)}\n"
+
+    # A sweep point that leaves the float range is an invalid row, and the
+    # other rows and the argmax stand. Over l: l = 1e-200 underflows l**2 to
+    # a zero divisor and l = 1e-160 gives k_theta = inf; k_theta falls with l,
+    # so the argmax is the first ok row. Over omega with length = 1e-200 or
+    # young_modulus = 5e-324 in the brush, every point underflows.
+    @pytest.mark.parametrize(
+        "brush, sweep, statuses",
+        [
+            pytest.param({}, dict(parameter="l", objective="k_theta", start="1e-200",
+                                  stop="0.02", points="5", spacing="log"),
+                         ["invalid", "ok", "ok", "ok", "ok"], id="l-underflow"),
+            pytest.param({}, dict(parameter="l", objective="k_theta", grid="1e-160, 0.02"),
+                         ["invalid", "ok"], id="l-inf"),
+            *(
+                pytest.param({key: value}, dict(parameter="omega",
+                                                objective="forced_amplitude_abs",
+                                                grid="100, 200"),
+                             ["invalid", "invalid"], id=key)
+                for key, value in (("length", "1e-200"), ("young_modulus", "5e-324"))
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
+    def test_sweep_point_leaving_the_float_range_is_an_invalid_row(
+        self, tmp_path, capsys, brush, sweep, statuses, form
+    ):
+        sections = {**FULL, "brush": {**FULL["brush"], **brush}, "sweep": sweep}
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, ["sweep", "--config", path, *form,
+                                          "--out", str(out_path)])
+        assert (code, err) == (0, "")
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [status for *_, status in rows] == statuses
+        oks = [row for row in rows if row[3] == "ok"]
+        assert [row[2] for row in rows if row[3] == "invalid"] == [""] * (len(rows) - len(oks))
+        params = BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)
+        for _, value, objective, _ in oks:
+            k_theta = regime1.lumped_stiffness(replace(params, length=float(value)))
+            assert objective == repr(k_theta)
+        argmax = float(oks[0][1]) if oks else math.nan
+        assert lines[-1] == f"# argmax={argmax!r}"
+        summary = {"rows": len(statuses), "argmax": argmax if oks else None,
+                   "out": str(out_path)}
+        assert sweep_summary(out, form) == summary
+
+
+class TestFailureTable:
+    """One input per error class in sweep.FAILURES, run as a one-point sweep
+    and, where a command can raise it, as a single CLI command: the row
+    status, the exit code and the stderr label are the documented ones."""
+
+    OMEGA_N = repr(regime1.natural_frequency(BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)))
+    # class -> (row status, exit code, stderr label), the command and the
+    # (section, key, value) of the single run, and the sweep parameter, grid
+    # value and objective of the same input. No command raises
+    # NoCompletedCycleError: simulate-r2 reports zero cycles.
+    CASES = {
+        ResonanceError: (("resonance_guard", 3, "resonance: "),
+                         "predict-r1", ("motor", "speed", OMEGA_N),
+                         ("omega", OMEGA_N, "forced_amplitude_abs")),
+        ModelDomainError: (("model_domain", 4, "model domain: "),
+                           "predict-r1", ("motor", "speed", "3500.0"),
+                           ("omega", "3500.0", "v_r_regime1")),
+        NoCompletedCycleError: (("no_cycles", 2, ""), None, None,
+                                ("omega", "100.0", "v_r_regime2")),
+        ValidationError: (("invalid", 2, ""),
+                          "predict-r1", ("brush", "young_modulus", "1e312"),
+                          ("EI", "1e300", "k_theta")),
+        OverflowError: (("invalid", 2, "arithmetic overflow: "),
+                        "predict-r1", ("motor", "speed", "1e300"),
+                        ("omega", "1e300", "forced_amplitude_abs")),
+        ArithmeticError: (("invalid", 2, "arithmetic underflow: "),
+                          "predict-r1", ("brush", "length", "1e-200"),
+                          ("l", "1e-200", "k_theta")),
+    }
+    LABELS = [label for (_, _, label), *_ in CASES.values() if label]
+
+    def test_cases_cover_every_class_and_its_entry(self):
+        assert {cls: expected for cls, (expected, *_) in self.CASES.items()} == FAILURES
+
+    @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+    def test_sweep_row_status(self, tmp_path, cls):
+        (status, _, _), _, _, (parameter, grid, objective) = self.CASES[cls]
+        sweep = dict(parameter=parameter, objective=objective, grid=grid)
+        path = write_config(tmp_path, {**FULL, "sweep": sweep})
+        out_path = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--out", str(out_path)]) == 0
+        rows = out_path.read_text(encoding="utf-8").splitlines()[1:-1]
+        assert [row.rsplit(",", 1)[1] for row in rows] == [status]
+
+    @pytest.mark.parametrize("cls", [cls for cls, case in CASES.items() if case[1]],
+                             ids=lambda cls: cls.__name__)
+    def test_single_run_exit_code_and_label(self, tmp_path, capsys, cls):
+        (_, code, label), command, (section, key, value), _ = self.CASES[cls]
+        path = write_config(tmp_path, {**FULL, section: {**FULL[section], key: value}})
+        exit_code, out, err = run_cli(capsys, [command, "--config", path])
+        message = err.removeprefix("error: ")
+        seen = next((known for known in self.LABELS if message.startswith(known)), "")
+        assert (exit_code, out, seen, err.count("\n")) == (code, "", label, 1)
 
 
 class TestFuzz:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from brushdyn import BrushParams, MotorParams, RobotParams, SimConfig, regime1, regime2
+from brushdyn import BrushParams, MotorParams, RobotParams, SimConfig, regime1, regime2, sweep
 from brushdyn.params import ValidationError
 from brushdyn.sweep import (
     STATUS_INVALID,
@@ -14,9 +14,11 @@ from brushdyn.sweep import (
     STATUS_NO_CYCLES,
     STATUS_OK,
     STATUS_RESONANCE,
+    FAILURES,
     OBJECTIVES,
     PARAMETERS,
     SweepSpec,
+    failure,
     run_sweep,
 )
 
@@ -266,6 +268,32 @@ class TestRunSweep:
         assert [row.status for row in result.rows] == [STATUS_OK, STATUS_MODEL_DOMAIN]
         assert result.argmax == 1500.0
 
+    def test_points_leaving_the_float_range_are_invalid_rows(self, brush, motor):
+        # l = 1e-200: l**2 underflows to a zero divisor; l = 1e-160: k_theta
+        # is inf; l = 1e-100: k_theta is large but finite
+        spec = SweepSpec("l", "k_theta", (1e-200, 1e-160, 1e-100, 0.02))
+        result = run_sweep(spec, brush, motor)
+        statuses = [row.status for row in result.rows]
+        assert statuses == [STATUS_INVALID, STATUS_INVALID, STATUS_OK, STATUS_OK]
+        assert [row.objective for row in result.rows[:2]] == [None, None]
+        assert math.isfinite(result.rows[2].objective)
+        assert result.argmax == 1e-100
+
     def test_deterministic(self, brush, motor):
         spec = SweepSpec.from_range("omega", "v_r_regime1", 50.0, 500.0, 20)
         assert run_sweep(spec, brush, motor) == run_sweep(spec, brush, motor)
+
+
+class TestFailures:
+    def test_statuses_are_the_status_constants(self):
+        # bench/run.py reports one per-layer count per STATUS_* constant
+        constants = {getattr(sweep, name) for name in dir(sweep)
+                     if name.startswith("STATUS_")}
+        statuses = {status for status, _, _ in FAILURES.values()}
+        assert statuses | {STATUS_OK} == constants
+
+    def test_an_error_takes_its_most_specific_entry(self):
+        for cls, entry in FAILURES.items():
+            assert failure(cls("message")) == entry
+        # a zero divisor raises ZeroDivisionError, which has no entry of its own
+        assert failure(ZeroDivisionError("message")) == FAILURES[ArithmeticError]
