@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import BrushParams, MotorParams, RobotParams
 from .regime1 import natural_frequency
@@ -32,8 +32,7 @@ class Regime(enum.Enum):
     TRANSITIONAL = "Transitional"
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Classification with the quantities that drove it.
 
     lift_ratio       m*omega^2*r / (M*g)

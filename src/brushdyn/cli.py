@@ -10,7 +10,6 @@ config produces byte-identical results on every run.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -46,6 +45,7 @@ def _require_finite(pairs: list[tuple[str, object]]) -> None:
 def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
     _require_finite(pairs)
     if as_json:
+        import json  # here, not at the top: every CLI start would pay for it
         print(json.dumps(dict(pairs), allow_nan=False))
     else:
         for name, value in pairs:

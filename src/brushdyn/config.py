@@ -10,7 +10,7 @@ default are required, the others optional.
 from __future__ import annotations
 
 import configparser
-from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 from .params import BrushParams, MotorParams, RobotParams
 from .regime2 import SimConfig
@@ -30,8 +30,7 @@ _SECTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     brush: BrushParams | None = None
     motor: MotorParams | None = None
     robot: RobotParams | None = None
@@ -63,20 +62,15 @@ def _number(section: str, key: str, raw: str, integer: bool = False) -> float | 
 
 
 def _build(section: str, cls: type, items: dict[str, str]):
-    """An instance of cls from its section's items, converted in field order."""
-    schema = fields(cls)
-    _check_keys(
-        section,
-        set(items),
-        {f.name for f in schema if f.default is MISSING},
-        {f.name for f in schema if f.default is not MISSING},
-    )
-    # Field types are annotation strings: the parameter modules postpone
-    # annotation evaluation.
+    """An instance of cls from its section's items, converted in field order:
+    a field with an int default takes an integer, every other a float (the
+    annotations are unevaluated ForwardRefs)."""
+    defaults = cls._field_defaults
+    _check_keys(section, set(items), set(cls._fields) - set(defaults), set(defaults))
     return cls(**{
-        f.name: _number(section, f.name, items[f.name], integer=f.type == "int")
-        for f in schema
-        if f.name in items
+        name: _number(section, name, items[name], type(defaults.get(name)) is int)
+        for name in cls._fields
+        if name in items
     })
 
 

@@ -1,14 +1,16 @@
 """Validated physical parameter types and the errors shared by the models.
 
-All quantities are strict SI (m, kg, s, N, Pa, rad). Types are frozen
-dataclasses: once constructed they are immutable and safe to share across
-threads or parallel sweeps.
+All quantities are strict SI (m, kg, s, N, Pa, rad). Types are immutable
+NamedTuple records, safe to share across threads or parallel sweeps, and
+checked on every construction: a copy made with `_replace` (or `_make`) is
+validated like a new one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,15 +30,31 @@ def _require(condition: bool, message: str) -> None:
 
 
 def require_finite(params) -> None:
-    """Reject an inf or nan float in any field of a parameter dataclass."""
-    for name in params.__dataclass_fields__:
-        value = getattr(params, name)
+    """Reject an inf or nan float in any field of a parameter record."""
+    for i, value in enumerate(params):  # cheaper per record than zip with _fields
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite")
+            raise ValidationError(f"{params._fields[i]} must be finite")
 
 
-@dataclass(frozen=True)
-class BrushParams:
+def validated(cls):
+    """Check each instance the NamedTuple cls builds (constructor, _make, _replace):
+    require_finite, then cls._check. A NamedTuple body may not define __new__."""
+    new = cls.__new__
+
+    @functools.wraps(new)  # keeps the field signature for help() and inspect
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        require_finite(self)
+        self._check()
+        return self
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
+
+
+@validated
+class BrushParams(NamedTuple):
     """Geometry and material of one brush set.
 
     young_modulus       Pa
@@ -52,8 +70,7 @@ class BrushParams:
     inclination: float
     brush_mass: float
 
-    def __post_init__(self) -> None:
-        require_finite(self)
+    def _check(self) -> None:
         _require(self.young_modulus > 0.0, "young_modulus must be > 0")
         _require(self.second_area_moment > 0.0, "second_area_moment must be > 0")
         _require(self.length > 0.0, "length must be > 0")
@@ -66,8 +83,8 @@ class BrushParams:
         return self.young_modulus * self.second_area_moment
 
 
-@dataclass(frozen=True)
-class MotorParams:
+@validated
+class MotorParams(NamedTuple):
     """Eccentric rotating mass actuator.
 
     eccentric_mass  kg, the unbalanced mass (0 means the motor is off)
@@ -79,8 +96,7 @@ class MotorParams:
     eccentricity: float
     speed: float
 
-    def __post_init__(self) -> None:
-        require_finite(self)
+    def _check(self) -> None:
         _require(self.eccentric_mass >= 0.0, "eccentric_mass must be >= 0")
         _require(self.eccentricity >= 0.0, "eccentricity must be >= 0")
         _require(self.speed > 0.0, "speed must be > 0")
@@ -96,8 +112,8 @@ class MotorParams:
         return TWO_PI / self.speed
 
 
-@dataclass(frozen=True)
-class RobotParams:
+@validated
+class RobotParams(NamedTuple):
     """Body-level quantities for the rigid-rotation regime.
 
     body_mass      kg
@@ -116,8 +132,7 @@ class RobotParams:
     step_height: float
     gravity: float = 9.81
 
-    def __post_init__(self) -> None:
-        require_finite(self)
+    def _check(self) -> None:
         _require(self.body_mass > 0.0, "body_mass must be > 0")
         _require(self.gravity > 0.0, "gravity must be > 0")
         _require(self.pivot_inertia > 0.0, "pivot_inertia must be > 0")

@@ -10,7 +10,6 @@ amplitude. Everything here is a pure function of validated inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .params import BrushParams, ModelDomainError, MotorParams, RobotParams
@@ -98,10 +97,13 @@ def step_displacement(brush: BrushParams, motor: MotorParams) -> float:
 
     Positive for 0 < theta <= alpha. When theta exceeds alpha the deformed
     brush has crossed the vertical through its tip and the same-side geometry
-    no longer holds: that raises ModelDomainError.
+    no longer holds: that raises ModelDomainError (OverflowError for an inf or
+    nan theta, where the force overflowed).
     """
     theta = stick_phase_angle(brush, motor)
     alpha = brush.inclination
+    if not math.isfinite(theta):
+        raise OverflowError(f"stick-phase angle is {theta!r}")
     if theta > alpha:
         raise ModelDomainError(
             f"stick-phase angle {theta:.6g} rad exceeds brush inclination "
@@ -152,8 +154,7 @@ def regime1_validity(motor: MotorParams, robot: RobotParams) -> ValidityReport:
     return ValidityReport(margin >= 0.0, margin)
 
 
-@dataclass(frozen=True)
-class Regime1Prediction:
+class Regime1Prediction(NamedTuple):
     """Derived flexible-brush quantities for one brush/motor pairing.
 
     k_theta    N/rad, lumped angular stiffness

@@ -20,11 +20,10 @@ holds only while the moments do not depend on theta (fixed moment arms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
-from .params import ValidationError, require_finite
+from .params import ValidationError, validated
 
 # Body angles beyond this break the single-pivot geometry.
 MAX_BODY_ANGLE = math.pi / 2.0
@@ -39,8 +38,8 @@ class NoCompletedCycleError(ValueError):
     """The trajectory contains no completed lift-off/touchdown cycle."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
+@validated
+class SimConfig(NamedTuple):
     """Simulation window and its sampling grid.
 
     t_end          s, must cover at least 5 forcing periods
@@ -59,8 +58,7 @@ class SimConfig:
     theta0: float = 0.0
     record_stride: int = 1
 
-    def __post_init__(self) -> None:
-        require_finite(self)
+    def _check(self) -> None:
         if not self.t_end > 0.0:
             raise ValidationError("t_end must be > 0")
         if not self.dt > 0.0:
@@ -86,8 +84,7 @@ class FlightEvent(NamedTuple):
     touchdown_time: float
 
 
-@dataclass(frozen=True)
-class Regime2Trajectory:
+class Regime2Trajectory(NamedTuple):
     """Sampled hybrid trajectory plus per-cycle bookkeeping.
 
     samples      time-ordered (t, theta, theta_dot, theta_ddot, x)

@@ -10,12 +10,11 @@ instead of aborting the whole sweep: sweeps cross those boundaries on purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from . import regime1, regime2
 from .params import BrushParams, ModelDomainError, MotorParams, RobotParams
-from .params import ValidationError
+from .params import ValidationError, validated
 
 STATUS_OK = "ok"
 STATUS_RESONANCE = "resonance_guard"
@@ -53,18 +52,18 @@ def _positive(value: float) -> bool:
 # Sweep parameter name -> (grid domain, apply(value, brush, motor) giving the
 # brush and motor at that grid value).
 PARAMETERS: dict[str, tuple[Callable[[float], bool], Callable]] = {
-    "omega": (_positive,  # built directly: replace inspects the fields per call
+    "omega": (_positive,  # built from named fields: cheaper than _replace per point
               lambda v, b, m: (b, MotorParams(m.eccentric_mass, m.eccentricity, v))),
     "alpha": (
         lambda v: 0.0 < v < math.pi / 2.0,
-        lambda v, b, m: (replace(b, inclination=v), m),
+        lambda v, b, m: (b._replace(inclination=v), m),
     ),
-    "l": (_positive, lambda v, b, m: (replace(b, length=v), m)),
+    "l": (_positive, lambda v, b, m: (b._replace(length=v), m)),
     "EI": (
         _positive,
-        lambda v, b, m: (replace(b, young_modulus=v / b.second_area_moment), m),
+        lambda v, b, m: (b._replace(young_modulus=v / b.second_area_moment), m),
     ),
-    "M_b": (_positive, lambda v, b, m: (replace(b, brush_mass=v), m)),
+    "M_b": (_positive, lambda v, b, m: (b._replace(brush_mass=v), m)),
 }
 
 
@@ -82,15 +81,15 @@ OBJECTIVES: dict[str, Callable[..., float]] = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+@validated
+class SweepSpec(NamedTuple):
     """One swept parameter, its grid and the objective to evaluate."""
 
     parameter: str
     objective: str
     grid: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.parameter not in PARAMETERS:
             raise ValidationError(
                 f"unknown sweep parameter {self.parameter!r}; "
@@ -158,8 +157,7 @@ class SweepRow(NamedTuple):
     status: str
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     parameter: str
     objective: str
     rows: tuple[SweepRow, ...]

@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -182,13 +181,12 @@ class TestConfigParsing:
             ("robot", RobotParams),
             ("sim", SimConfig),
         ]:
-            schema = fields(cls)
-            assert [key for key, _ in table[section]] == [f.name for f in schema]
-            for (_, stated), f in zip(table[section], schema):
-                if f.default is MISSING:
-                    assert stated is None, f.name
+            assert [key for key, _ in table[section]] == list(cls._fields)
+            for (_, stated), name in zip(table[section], cls._fields):
+                if name not in cls._field_defaults:
+                    assert stated is None, name
                 else:
-                    assert float(stated) == f.default, f.name
+                    assert float(stated) == cls._field_defaults[name], name
 
 
 class TestPredictR1:
@@ -586,6 +584,36 @@ class TestEntryPoint:
         assert [name for name in imported
                 if name != "brushdyn" and name not in sys.stdlib_module_names] == []
 
+    def test_cli_loads_no_dataclasses_or_inspect_and_json_only_for_json(
+        self, tmp_path, capsys
+    ):
+        # every command on the shipped configs in one fresh interpreter, in
+        # table form and then with --json; the bytes match an in-process run
+        configs = [str(ROOT / "configs" / name) for name in ("reference.cfg", "alpha_sweep.cfg")]
+        runs = [
+            ["predict-r1", "--config", configs[0]],
+            ["classify", "--config", configs[0]],
+            ["simulate-r2", "--config", configs[0], "--out", str(tmp_path / "traj.txt")],
+            *(["sweep", "--config", path, "--out", str(tmp_path / "sweep.csv")]
+              for path in configs),
+        ]
+        runs += [argv + ["--json"] for argv in runs]
+        code = (
+            "import sys; from brushdyn.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0\n"
+            "    print(*sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=SRC_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = ""
+        for argv in runs:
+            assert main(argv) == 0
+            expected += capsys.readouterr().out + ("json\n" if "--json" in argv else "\n")
+        assert proc.stdout == expected
+
     # --out is a usage error where no file is written, and missing where one is
     @pytest.mark.parametrize("command", ["predict-r1", "classify", "simulate-r2", "sweep"])
     def test_out_rejected_where_unused(self, tmp_path, capsys, command):
@@ -638,6 +666,14 @@ class TestNonFiniteValues:
         assert code == 2
         assert out == ""
         assert err == f"error: {key} must be finite\n"
+
+    def test_overflowed_stick_phase_angle_exits_2(self, tmp_path, capsys):
+        # the force m*omega^2*r overflows; it is not an overswing (exit 4)
+        sections = {**FULL, "motor": {**MOTOR_SECTION, "eccentric_mass": "1e308"}}
+        code, out, err = run_cli(capsys, ["predict-r1", "--config",
+                                          write_config(tmp_path, sections)])
+        assert (code, out, err) == (2, "", "error: arithmetic overflow: "
+                                           "stick-phase angle is inf\n")
 
     def test_grid_count_overflowing_the_float_range_exits_2(self, tmp_path, capsys):
         sections = {**FULL, "sim": {**SIM_SECTION, "t_end": "1e300", "dt": "1e-10"}}
@@ -805,7 +841,7 @@ class TestNonFiniteValues:
         assert [row[2] for row in rows if row[3] == "invalid"] == [""] * (len(rows) - len(oks))
         params = BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)
         for _, value, objective, _ in oks:
-            k_theta = regime1.lumped_stiffness(replace(params, length=float(value)))
+            k_theta = regime1.lumped_stiffness(params._replace(length=float(value)))
             assert objective == repr(k_theta)
         argmax = float(oks[0][1]) if oks else math.nan
         assert lines[-1] == f"# argmax={argmax!r}"

@@ -1,6 +1,6 @@
 """Parameter validation and the rotating-mass force amplitude."""
 
-import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -11,6 +11,7 @@ from brushdyn import (
     MotorParams,
     RobotParams,
     SimConfig,
+    SweepSpec,
     ValidationError,
 )
 
@@ -45,8 +46,62 @@ class TestBrushValidation:
 
     def test_immutable(self):
         b = BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             b.length = 0.05
+
+
+class TestEveryConstructionValidates:
+    """A record is checked however it is built: by its constructor, by
+    _replace from a valid record, or by _make from an iterable."""
+
+    @pytest.mark.parametrize(
+        "good, field, bad, message",
+        [
+            (BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3), "length", -1.0,
+             "length must be > 0"),
+            (MotorParams(1e-3, 2e-3, 300.0), "speed", 0.0, "speed must be > 0"),
+            (RobotParams(0.05, 2e-5, 0.03, 0.003, 0.04), "gravity", -9.81,
+             "gravity must be > 0"),
+            (SimConfig(0.5, 1e-4), "record_stride", 0,
+             "record_stride must be a positive integer"),
+            (SweepSpec("omega", "k_theta", (100.0, 200.0)), "grid", (200.0, 100.0),
+             "sweep grid must be strictly increasing"),
+            (BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3), "young_modulus", math.inf,
+             "young_modulus must be finite"),
+            (MotorParams(1e-3, 2e-3, 300.0), "eccentricity", math.nan,
+             "eccentricity must be finite"),
+            (RobotParams(0.05, 2e-5, 0.03, 0.003, 0.04), "gravity_arm", -math.inf,
+             "gravity_arm must be finite"),
+            (SimConfig(0.5, 1e-4), "t_end", math.inf, "t_end must be finite"),
+        ],
+        ids=lambda value: type(value).__name__ if hasattr(value, "_fields") else None,
+    )
+    def test_bad_value_raises_on_every_path(self, good, field, bad, message):
+        cls = type(good)
+        values = [bad if name == field else value for name, value in zip(cls._fields, good)]
+        builds = {
+            "positional": lambda: cls(*values),
+            "keyword": lambda: cls(**dict(zip(cls._fields, values))),
+            "_replace": lambda: good._replace(**{field: bad}),
+            "_make": lambda: cls._make(values),
+        }
+        for path, build in builds.items():
+            with pytest.raises(ValidationError, match=message):
+                build()
+                pytest.fail(f"{path} accepted {field}={bad!r}")
+        # the valid record still round-trips through both
+        assert type(good._replace()) is cls and good._replace() == good
+        assert type(cls._make(good)) is cls and cls._make(good) == good
+
+    @pytest.mark.parametrize(
+        "cls", [BrushParams, MotorParams, RobotParams, SimConfig, SweepSpec],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_constructor_signature_names_the_fields(self, cls):
+        params = inspect.signature(cls).parameters
+        assert list(params) == list(cls._fields)
+        assert {name: p.default for name, p in params.items()
+                if p.default is not inspect.Parameter.empty} == cls._field_defaults
 
 
 class TestFiniteValues:

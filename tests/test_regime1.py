@@ -285,6 +285,13 @@ class TestStepDisplacement:
         with pytest.raises(ModelDomainError, match="exceeds brush inclination"):
             regime1.step_displacement(b, motor_with_amplitude(amplitude))
 
+    @pytest.mark.parametrize("eccentricity, angle", [(1.0, "inf"), (0.0, "nan")])
+    def test_overflowed_angle_is_an_overflow_not_an_overswing(self, eccentricity, angle):
+        # m*omega^2 overflows to inf; times a zero eccentricity that is nan
+        motor = MotorParams(1e308, eccentricity, 300.0)
+        with pytest.raises(OverflowError, match=f"^stick-phase angle is {angle}$"):
+            regime1.step_displacement(unit_brush(0.6), motor)
+
     def test_domain_ends_just_past_alpha(self):
         alpha = 0.5
         b = unit_brush(alpha)

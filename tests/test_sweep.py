@@ -268,6 +268,12 @@ class TestRunSweep:
         assert [row.status for row in result.rows] == [STATUS_OK, STATUS_MODEL_DOMAIN]
         assert result.argmax == 1500.0
 
+    def test_overflowed_stick_phase_angle_is_an_invalid_row(self, brush, motor):
+        spec = SweepSpec("omega", "v_r_regime1", (300.0, 1e300))
+        result = run_sweep(spec, brush, motor)
+        assert [row.status for row in result.rows] == [STATUS_OK, STATUS_INVALID]
+        assert result.argmax == 300.0
+
     def test_points_leaving_the_float_range_are_invalid_rows(self, brush, motor):
         # l = 1e-200: l**2 underflows to a zero divisor; l = 1e-160: k_theta
         # is inf; l = 1e-100: k_theta is large but finite
