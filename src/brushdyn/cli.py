@@ -5,6 +5,11 @@ Four subcommands over a shared config file. Exit codes: 0 success,
 included), 3 resonance guard, 4 model-domain abort; `sweep.FAILURES` maps
 each library error to its code. All output is deterministic: the same
 config produces byte-identical results on every run.
+
+`main` runs every command in one order: load the config, compute (a
+`cmd_*` handler reads only the config and prints nothing), write `--out`
+if the command takes it, print to stdout. A run that fails before the
+write leaves `--out` untouched.
 """
 
 from __future__ import annotations
@@ -34,28 +39,30 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def _require_finite(pairs: list[tuple[str, object]]) -> None:
-    """Refuse a result that overflowed to inf or nan before printing any of
-    it: JSON cannot carry one, and the table form exits the same way."""
+def _emit(pairs: list[tuple[str, object]], as_json: bool, separator: str) -> None:
+    """Print `name<separator>value` lines, a list as indented lines under its
+    name, or one JSON object. Refuse a result that overflowed to inf or nan
+    first: JSON cannot carry one, and the table form exits the same way."""
     for name, value in pairs:
         if isinstance(value, float) and not math.isfinite(value):
             raise OverflowError(f"{name} is {value!r}")
-
-
-def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
-    _require_finite(pairs)
     if as_json:
         import json  # here, not at the top: every CLI start would pay for it
         print(json.dumps(dict(pairs), allow_nan=False))
-    else:
-        for name, value in pairs:
-            print(f"{name} {_fmt(value)}")
+        return
+    for name, value in pairs:
+        if isinstance(value, list):
+            print(f"{name}{separator}".rstrip())
+            for line in value:
+                print(f"  {line}")
+        else:
+            print(f"{name}{separator}{_fmt(value)}")
 
 
-def cmd_predict_r1(cfg: RunConfig, args: argparse.Namespace) -> None:
+def cmd_predict_r1(cfg: RunConfig) -> tuple:
     prediction = regime1.predict(cfg.brush, cfg.motor)
     validity = regime1.regime1_validity(cfg.motor, cfg.robot)
-    pairs = [
+    return [
         ("k_theta", prediction.k_theta),
         ("I_theta", prediction.I_theta),
         ("omega_n", prediction.omega_n),
@@ -66,14 +73,13 @@ def cmd_predict_r1(cfg: RunConfig, args: argparse.Namespace) -> None:
         ("v_r", prediction.v_r),
         ("regime1_valid", validity.valid),
         ("margin", validity.margin),
-    ]
-    _emit(pairs, args.json)
+    ], None
 
 
-def cmd_simulate_r2(cfg: RunConfig, args: argparse.Namespace) -> None:
+def cmd_simulate_r2(cfg: RunConfig) -> tuple:
     traj = regime2.simulate(cfg.robot, cfg.motor, cfg.sim)
 
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+    def write(handle) -> None:
         handle.write(TRAJECTORY_HEADER + "\n")
         # x changes only at touchdowns (simulate reuses one float object
         # between them), so its text is formatted once per cycle.
@@ -84,70 +90,50 @@ def cmd_simulate_r2(cfg: RunConfig, args: argparse.Namespace) -> None:
             handle.write(f"{t!r} {theta!r} {theta_dot!r} {theta_ddot!r} {x_text}\n")
 
     cycles = len(traj.cycle_peaks)
-    peak = regime2.peak_angle(traj) if cycles else None
     last = traj.samples[-1]
-    mean_v_r = last.x / last.t if last.t > 0.0 else 0.0
-    _emit(
-        [
-            ("cycles", cycles),
-            ("peak_angle", peak),
-            ("mean_v_r", mean_v_r),
-            ("out", args.out),
-        ],
-        args.json,
-    )
+    return [
+        ("cycles", cycles),
+        ("peak_angle", regime2.peak_angle(traj) if cycles else None),
+        ("mean_v_r", last.x / last.t if last.t > 0.0 else 0.0),
+    ], write
 
 
-def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> None:
+def cmd_classify(cfg: RunConfig) -> tuple:
     report = classify_mod.classify(cfg.brush, cfg.motor, cfg.robot)
-    scores = [
+    return [
+        ("regime", report.regime.value),
         ("lift_ratio", report.lift_ratio),
         ("stiffness_score", report.stiffness_score),
         ("alpha_margin", report.alpha_margin),
-    ]
-    if args.json:
-        _emit([("regime", report.regime.value), *scores,
-               ("rationale", list(report.rationale))], as_json=True)
-        return
-    _require_finite(scores)
-    print(f"regime: {report.regime.value}")
-    for name, value in scores:
-        print(f"{name}: {value!r}")
-    print("rationale:")
-    for line in report.rationale:
-        print(f"  {line}")
+        ("rationale", list(report.rationale)),
+    ], None
 
 
-def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
+def cmd_sweep(cfg: RunConfig) -> tuple:
     result = sweep_mod.run_sweep(cfg.sweep, cfg.brush, cfg.motor, cfg.robot, cfg.sim)
 
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+    def write(handle) -> None:
         handle.write(SWEEP_HEADER + "\n")
         for row in result.rows:
             objective = "" if row.objective is None else repr(row.objective)
             handle.write(f"{result.parameter},{row.value!r},{objective},{row.status}\n")
         handle.write(f"# argmax={_fmt(result.argmax)}\n")
 
-    _emit(
-        [
-            ("rows", len(result.rows)),
-            ("argmax", result.argmax),
-            ("out", args.out),
-        ],
-        args.json,
-    )
+    return [("rows", len(result.rows)), ("argmax", result.argmax)], write
 
 
 # Command -> (handler, config sections it needs, what --out holds or None
-# when it writes no file, help text).
+# when it writes no file, table separator between name and value, help text).
+# A handler returns its (name, value) pairs and, when --out is taken, the
+# function that writes the file body to an open handle.
 _COMMANDS = {
-    "predict-r1": (cmd_predict_r1, ("brush", "motor", "robot"), None,
+    "predict-r1": (cmd_predict_r1, ("brush", "motor", "robot"), None, " ",
                    "flexible-brush closed-form prediction table"),
-    "simulate-r2": (cmd_simulate_r2, ("robot", "motor", "sim"), "trajectory",
+    "simulate-r2": (cmd_simulate_r2, ("robot", "motor", "sim"), "trajectory", " ",
                     "rigid-pivot hybrid simulation to a trajectory file"),
-    "classify": (cmd_classify, ("brush", "motor", "robot"), None,
+    "classify": (cmd_classify, ("brush", "motor", "robot"), None, ": ",
                  "operating-regime report"),
-    "sweep": (cmd_sweep, ("sweep", "brush", "motor"), "CSV",
+    "sweep": (cmd_sweep, ("sweep", "brush", "motor"), "CSV", " ",
               "parameter sweep to a CSV file"),
 }
 
@@ -158,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Vibration-driven brushbot locomotion predictions.",
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (_, _, writes, help_text) in _COMMANDS.items():
+    for name, (_, _, writes, _, help_text) in _COMMANDS.items():
         command = commands.add_parser(name, help=help_text)
         command.add_argument("--config", required=True, metavar="PATH",
                              help="run configuration file")
@@ -172,13 +158,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler, sections, _, _ = _COMMANDS[args.command]
+    handler, sections, _, separator, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
         for name in sections:
             if getattr(cfg, name) is None:
                 raise ConfigError(f"missing [{name}] section in config")
-        handler(cfg, args)
+        pairs, write = handler(cfg)
+        if write is not None:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                write(handle)
+            pairs.append(("out", args.out))
+        _emit(pairs, args.json, separator)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

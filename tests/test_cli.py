@@ -1,6 +1,7 @@
 """Command surface: output formats, exit codes, determinism."""
 
 import errno
+import io
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from brushdyn import (
     regime1,
     regime2,
 )
-from brushdyn.cli import build_parser, main
+from brushdyn.cli import _COMMANDS, build_parser, main
 from brushdyn.config import ConfigError
 from brushdyn.sweep import FAILURES
 
@@ -143,6 +144,27 @@ class TestConfigParsing:
         }
         with pytest.raises(ConfigError, match="not both"):
             load_config(write_config(tmp_path, sections))
+
+    # each message through the CLI: exit 2, nothing on stdout, no --out file
+    @pytest.mark.parametrize(
+        "sections, error",
+        [
+            pytest.param({"DEFAULT": {"speed": "300.0"}},
+                         "[DEFAULT] section is not supported", id="default-section"),
+            pytest.param({"sweep": dict(parameter="omega", objective="k_theta",
+                                        start="100", stop="300")},
+                         "[sweep] needs grid= or all of start=, stop=, points=",
+                         id="range-without-points"),
+            pytest.param({"sweep": dict(parameter="omega", objective="k_theta", grid="")},
+                         "sweep grid must contain at least one value", id="empty-grid"),
+        ],
+    )
+    def test_config_error_exits_2_with_its_message(self, tmp_path, capsys, sections, error):
+        path = write_config(tmp_path, {**sections, **FULL})
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert not out_path.exists()
 
     def test_sweep_explicit_grid(self, tmp_path):
         sections = {
@@ -546,6 +568,68 @@ class TestSweepCommand:
         run_cli(capsys, ["sweep", "--config", path, "--out", str(out_a)])
         run_cli(capsys, ["sweep", "--config", path, "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+SHIPPED_RUNS = [
+    pytest.param(command, str(ROOT / "configs" / name), id=f"{command}-{name}")
+    for command, name in [
+        ("predict-r1", "reference.cfg"),
+        ("simulate-r2", "reference.cfg"),
+        ("classify", "reference.cfg"),
+        ("sweep", "reference.cfg"),
+        ("sweep", "alpha_sweep.cfg"),
+    ]
+]
+
+
+class TestPipeline:
+    """A command handler only computes from the config; main writes the
+    --out file and prints the result, in table or JSON form."""
+
+    @pytest.mark.parametrize("command, config", SHIPPED_RUNS)
+    def test_handler_prints_nothing_and_creates_no_file(
+        self, tmp_path, monkeypatch, capsys, command, config
+    ):
+        handler, _, writes, *_ = _COMMANDS[command]
+        monkeypatch.chdir(tmp_path)
+        pairs, write = handler(load_config(config))
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == []
+        assert (write is None) == (writes is None)
+        argv = [command, "--config", config, "--json"]
+        if write is not None:
+            body = io.StringIO()
+            write(body)
+            out_path = tmp_path / "out.txt"
+            argv += ["--out", str(out_path)]
+            pairs.append(("out", str(out_path)))
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == dict(pairs)
+        if write is not None:
+            assert out_path.read_bytes() == body.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("command, config", SHIPPED_RUNS)
+    def test_table_and_json_carry_the_same_pairs(self, tmp_path, capsys, command, config):
+        argv = [command, "--config", config]
+        if command in ("simulate-r2", "sweep"):
+            argv += ["--out", str(tmp_path / "out.txt")]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        separator = ": " if command == "classify" else " "
+        expected = ""
+        for name, value in payload.items():
+            if isinstance(value, list):  # classify's rationale lines
+                expected += f"{name}{separator.rstrip()}\n"
+                expected += "".join(f"  {line}\n" for line in value)
+                continue
+            if value is None:
+                value = "nan"
+            elif not isinstance(value, str):
+                value = json.dumps(value)  # a float's repr, an int, true or false
+            expected += f"{name}{separator}{value}\n"
+        assert table == expected
 
 
 class TestEntryPoint:

@@ -266,6 +266,25 @@ class TestWindow:
         long = SimConfig(t_end=0.12, dt=1e-4, theta0=0.5)
         assert len(regime2.simulate(reference_robot, motor, long).events) == 1
 
+    def test_tilted_flight_landing_in_the_last_period_is_the_only_cycle(
+        self, reference_robot, reference_motor
+    ):
+        # a 0.2 rad first flight lands at ~4.13 T of a 5 T window: the next
+        # rising zero of the net moment lies past the window, so nothing lifts
+        # off from rest and the body stays at rest to the end
+        period = reference_motor.period
+        cfg = SimConfig(t_end=5.0 * period, dt=period / 400.0, theta0=0.2)
+        traj = regime2.simulate(reference_robot, reference_motor, cfg)
+        peaks = (0.20815568964720926,)
+        assert regime2.cycle_peaks(reference_robot, reference_motor, cfg) == peaks
+        assert traj.cycle_peaks == peaks
+        ((lift_off, touchdown),) = traj.events
+        assert lift_off == 0.0 and 4.0 * period < touchdown < 4.2 * period
+        after = [s for s in traj.samples if s.t >= touchdown]
+        assert len(after) > 300
+        assert all(s[1:4] == (0.0, 0.0, 0.0) and s.x == after[0].x for s in after)
+        assert after[0].x > 0.0
+
     def test_domain_error_only_inside_the_window(self):
         # no gravity moment and c_f = 2000 rad/s^2 at 300 rad/s: theta ratchets
         # up as ~(c_f/omega)*t and passes pi/2 between 0.232 s and 0.239 s
