@@ -111,7 +111,8 @@ def _build_sweep(items: dict[str, str]) -> SweepSpec:
 
 def load_config(path: str) -> RunConfig:
     """Parse and validate a config file; every present section is built."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] header is an ordinary section, keys or not
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -120,7 +121,7 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
 
-    if parser.defaults():
+    if parser.has_section("DEFAULT"):
         raise ConfigError("[DEFAULT] section is not supported")
     for section in parser.sections():
         if section not in _SECTIONS and section != "sweep":

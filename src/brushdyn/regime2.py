@@ -12,18 +12,18 @@ lift-off/touchdown cycle advances the robot by h*sin(peak angle of that cycle).
 The solver is exact and event-driven: theta_ddot = c_f*sin(omega*t) - c_g
 depends on time only, so flights have a closed form, and every lift-off from
 rest is at the forcing phase asin(c_g/c_f), so all flights from rest are one
-flight shifted by whole periods. Peaks and touchdowns are Newton roots of the
-closed form, to float resolution away from the lift-off threshold; the closed
-form cancels as rho = c_g/c_f nears 1, so the steady peak is off by 6.4e-10
-(relative) at rho = 1 - 1e-4 and by 11 % at rho = 1 - 1e-8. dt only sets the
-sampling grid. Limit: this holds only while the moments do not depend on
-theta (fixed moment arms).
+flight shifted by whole periods. One inlined Newton kernel finds peaks and
+touchdowns, from phases fitted in rho = c_g/c_f for a flight from rest, to
+float resolution away from the lift-off threshold; the closed form cancels as
+rho nears 1, so the steady peak is off by 6.4e-10 (relative) at rho = 1 - 1e-4
+and by 11 % at rho = 1 - 1e-8. dt only sets the sampling grid. Limit: this
+holds only while the moments do not depend on theta (fixed moment arms).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
 from .params import ValidationError, validated
@@ -100,95 +100,134 @@ class Regime2Trajectory(NamedTuple):
     events: tuple[FlightEvent, ...]
 
 
-def _root(f: Callable, slope: Callable, lo: float, hi: float, above: bool) -> float:
-    """The end of [lo, hi] on f(hi)'s side (f > 0 or f <= 0) once lo and hi
-    are adjacent floats; f(lo) is on the other side, above = f(lo) > 0.
-
-    Newton steps on f, whose derivative is slope, from the midpoint (slope
-    vanishes at an end of the brackets here). A step that would leave
-    (lo, hi) or is over half the one before gives way to a bisection, which
-    caps the cost at about twice bisection's. Each step is aimed two ulps
-    past its estimate, so a converged one lands across the root.
-    """
-    x = lo  # x is not inside (lo, hi): the first point bisects
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return hi
-        if not lo < x < hi:
-            x, last = mid, hi - lo
-        value = f(x)
-        if (value > 0.0) == above:
-            lo = x
-        else:
-            hi = x
-        d = slope(x)
-        step = value / d if d else math.inf
-        if abs(step) <= 0.5 * last:  # else x is an end: the next point bisects
-            last = abs(step)
-            x -= step + math.copysign(2.0 * math.ulp(x), step)
+def _starts(rho: float, omega: float) -> tuple[tuple, tuple]:
+    """Newton's first points (touchdowns, theta_dot roots) for a flight from
+    rest at rho = c_g/c_f in [0.05, 1): times u/omega, u fitted to the phase
+    of each root to 5e-5 (relative). Rationals in x = sqrt(1 - rho) give the
+    first peak and, at rho >= 0.25, the touchdown; at rho in [0.14, 0.21],
+    where theta rises twice before it lands (the touchdown jumps a hump at
+    rho ~ 0.2173 and ~ 0.1288), one polynomial in -+sqrt(0.21723363 - rho)
+    gives the first trough and the second peak, and a rational in rho the
+    touchdown."""
+    x = math.sqrt(1.0 - rho)
+    scale = x / (rho * omega)
+    peak = 4.2427078 + x * (-6.3076059 + x * (-1.5054631 + x * (5.2951956 - 1.7247491 * x)))
+    peak *= scale / (1.0 + x * (-1.4857565 + x * (0.48480704 + 0.029269407 * x)))
+    if rho >= 0.25:
+        down = 5.6568662 + x * (-8.9190777 + x * (-1.873952 + x * (7.3071527 - 2.1905883 * x)))
+        down *= scale / (1.0 + x * (-1.5764918 + x * (0.44903894 + 0.07499999 * x)))
+        return (down,), (peak,)
+    if not 0.14 <= rho <= 0.21:
+        return (), (peak,)
+    w = math.sqrt(0.21723363 - rho)
+    even = 8.98694 + w * w * (1.353238 + 0.8085553 * w * w)
+    odd = w * (4.293196 + w * w * (3.14305 + 10.60137 * w * w))
+    t = rho - 0.175
+    down = 11.88564 + t * (-346.0636 + t * (-2212.778 + t * (93735.52 - 183898.5 * t)))
+    down /= (1.0 + t * (-26.01208 + t * (-267.2521 + 7364.755 * t))) * omega
+    return (down,), (peak, (even - odd) / omega, (even + odd) / omega)
 
 
 class _Flight:
-    """Closed-form flight from (theta0, rate 0) at forcing phase psi0; s is
-    the time since lift-off."""
+    """Closed-form flight from (theta0, rate 0), s the time since lift-off:
+    from rest (theta0 = 0) it lifts off at the forcing phase rise, else at
+    phase 0."""
 
-    def __init__(self, c_force, c_grav, omega, psi0, theta0):
-        self.c_force, self.c_grav, self.omega = c_force, c_grav, omega
-        self.psi0, self.theta0, self.sin0 = psi0, theta0, math.sin(psi0)
-        self.force_omega, self.swing = c_force / omega, c_force / omega**2
-        self.rate0 = self.force_omega * math.cos(psi0)
+    def __init__(self, c_force, c_grav, omega, theta0):
+        self.lifts = lifts = c_grav < c_force  # else theta_ddot <= 0 at every phase
+        self.rise = math.asin(c_grav / c_force) if lifts else 0.0
+        self.psi0 = psi0 = 0.0 if theta0 > 0.0 else self.rise
+        self.omega, force_omega = omega, c_force / omega
+        self.terms = (c_force, c_grav, omega, psi0, theta0, math.sin(psi0),
+                      force_omega * math.cos(psi0), c_force / omega**2, force_omega)
+        rest = theta0 == 0.0 and lifts and c_grav >= 0.05 * c_force  # else midpoints only
+        self.starts = _starts(c_grav / c_force, omega) if rest else ((), ())
 
-    def theta(self, s: float) -> float:
-        lag = math.sin(self.psi0 + self.omega * s) - self.sin0
-        return self.theta0 + (self.rate0 - 0.5 * self.c_grav * s) * s - self.swing * lag
-
-    def rate(self, s: float) -> float:
-        cos = math.cos(self.psi0 + self.omega * s)
-        return self.rate0 - self.force_omega * cos - self.c_grav * s
-
-    def accel(self, s: float) -> float:
-        return self.c_force * math.sin(self.psi0 + self.omega * s) - self.c_grav
+    def state(self, s: float) -> tuple[float, float]:
+        """(theta, theta_dot) at s."""
+        c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
+        phase = psi0 + omega * s
+        return (theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (math.sin(phase) - sin0),
+                rate0 - force_omega * math.cos(phase) - c_grav * s)
 
     def lift_off(self, k: int) -> float:
         return (TWO_PI * k + self.psi0) / self.omega
 
+    def root(self, lo: float, hi: float, angle: float, above: bool, peak: bool) -> tuple:
+        """(r, theta(r)), r the end on hi's side of the adjacent floats around
+        the root of f = theta_dot (peak) or theta in (lo, hi), above = f(lo) > 0
+        and angle = theta(hi). Newton steps on f, with f and its slope inline
+        from one phase, start from the first of self.starts[peak] inside
+        (lo, hi), else the midpoint; f is evaluated only inside (lo, hi). A step
+        that would leave (lo, hi) or is over half the one before gives way to a
+        bisection, which caps the cost at about twice bisection's. Each step is
+        aimed two ulps past its estimate, toward the end x did not just
+        replace, so a converged one lands across the root."""
+        sin, cos, ulp = math.sin, math.cos, math.ulp
+        c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
+        x, half, top = lo, 0.5 * (hi - lo), None  # top: sine at hi
+        for x in self.starts[peak]:
+            if lo < x < hi:
+                break
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                if top is not None:  # hi was evaluated here
+                    angle = theta0 + (rate0 - 0.5 * c_grav * hi) * hi - swing * (top - sin0)
+                return hi, angle
+            if not lo < x < hi:
+                x, half = mid, 0.5 * (hi - lo)
+            phase = psi0 + omega * x
+            sine = sin(phase)
+            rate = rate0 - force_omega * cos(phase) - c_grav * x
+            if peak:
+                value, d = rate, c_force * sine - c_grav
+            else:
+                value = theta0 + (rate0 - 0.5 * c_grav * x) * x - swing * (sine - sin0)
+                d = rate
+            if (value > 0.0) == above:
+                lo, toward = x, -2.0
+            else:
+                hi, top, toward = x, sine, 2.0
+            if d:  # else x is an end, as after a step over half the last one
+                step = value / d
+                if -half <= step <= half:  # else the next point bisects
+                    half = 0.5 * abs(step)
+                    x -= step + toward * ulp(x)
+
     def land(self, lift_off: float, limit: float) -> tuple[float, float | None]:
         """Touchdown time (math.inf if airborne at ``limit``) and the peak
         angle before it, the larger of theta0 and theta at the maxima of
-        theta, each time found by _root as the only root in its bracket:
+        theta, each time found by root as the only root in its bracket:
         theta_ddot changes sign only at the phases rise and pi - rise, theta
         is monotone between zeros of theta_dot. Values at bracket ends carry
         over; the peak is None for a flight too short to be a cycle.
         """
-        lifts = self.c_grav < self.c_force  # else theta_ddot <= 0: one bracket
-        rise = math.asin(self.c_grav / self.c_force) if lifts else 0.0
-        peak = angle = self.theta0  # theta(0) is theta0 exactly
-        p, index = 0.0, 0 if self.psi0 < rise else 1  # the first turn after psi0
-        v_p = self.rate(p)
+        lifts, rise, psi0, omega = self.lifts, self.rise, self.psi0, self.omega
+        peak = angle = self.terms[4]  # theta(0) is theta0 and theta_dot(0) 0.0 exactly
+        p, v_p, index = 0.0, 0.0, 0 if psi0 < rise else 1  # the first turn after psi0
         while p < limit:
             q = limit
             if lifts:
                 phase = (rise, math.pi - rise)[index % 2] + TWO_PI * (index // 2)
-                q = min(q, (phase - self.psi0) / self.omega)
+                q = min(q, (phase - psi0) / omega)
                 index += 1
-            v_q = self.rate(q)
+            a_q, v_q = self.state(q)
+            pieces = ((q, v_p > 0.0 or v_q > 0.0, a_q),)
             if v_p > 0.0 > v_q or v_p < 0.0 < v_q:
-                pieces = ((_root(self.rate, self.accel, p, q, v_p > 0.0), v_p > 0.0),
-                          (q, v_q > 0.0))
-            else:
-                pieces = ((q, v_p > 0.0 or v_q > 0.0),)
-            for q, rising in pieces:  # theta is monotone on [p, q]
-                start, angle = angle, self.theta(q)
+                r, a_r = self.root(p, q, a_q, v_p > 0.0, True)
+                pieces = ((r, v_p > 0.0, a_r), (q, v_q > 0.0, a_q))
+            for q, rising, end_angle in pieces:  # theta is monotone on [p, q]
+                start, angle = angle, end_angle
                 if not rising and angle <= 0.0:
-                    duration = _root(self.theta, self.rate, p, q, start > 0.0)
-                    short = duration < _MIN_FLIGHT_FRACTION * (TWO_PI / self.omega)
+                    duration = self.root(p, q, angle, start > 0.0, False)[0]
+                    short = duration < _MIN_FLIGHT_FRACTION * (TWO_PI / omega)
                     return duration, None if short else peak
                 if rising and angle > MAX_BODY_ANGLE:
                     raise ModelDomainError(f"body angle {angle:.6g} rad exceeds pi/2 "
                                            f"at t = {lift_off + q:.6g} s")
-                if rising and v_q <= 0.0:  # theta_dot at q is on v_q's side
-                    peak = max(peak, angle)
+                if rising and v_q <= 0.0 and angle > peak:  # theta_dot(q) is on v_q's side
+                    peak = angle
                 p = q
             v_p = v_q
         return math.inf, peak
@@ -209,16 +248,17 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
         raise ValidationError(
             f"t_end {cfg.t_end:.6g} below five forcing periods {5.0 * period:.6g} s"
         )
-    if _steps(cfg) > MAX_GRID_STEPS:
+    steps = _steps(cfg)
+    if steps > MAX_GRID_STEPS:
         raise ValidationError(f"t_end / dt exceeds {MAX_GRID_STEPS:.6g} grid steps")
 
     omega = motor.speed
     c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
     c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
-    end = _steps(cfg) * cfg.dt
+    end = steps * cfg.dt
     runs, at_rest = [], 0.0
     if cfg.theta0 > 0.0:
-        flight = _Flight(c_force, c_grav, omega, 0.0, cfg.theta0)
+        flight = _Flight(c_force, c_grav, omega, cfg.theta0)
         duration, peak = flight.land(0.0, end)
         at_rest = duration if duration <= end else math.inf
         runs.append((flight, range(1), duration, int(at_rest < math.inf), peak))
@@ -227,12 +267,12 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
 
     # Lift-offs from rest sit on the rising zeros (2*pi*k + rise)/omega of the
     # net moment, the first at or after the body came to rest.
-    rise = math.asin(c_grav / c_force)
-    flight = _Flight(c_force, c_grav, omega, rise, 0.0)
+    flight = _Flight(c_force, c_grav, omega, 0.0)
+    rise = flight.rise
     k = max(0, math.ceil((omega * at_rest - rise) / TWO_PI))
-    if not flight.lift_off(k) < end:
+    if not (start := flight.lift_off(k)) < end:
         return runs
-    duration, peak = flight.land(flight.lift_off(k), end - flight.lift_off(k))
+    duration, peak = flight.land(start, end - start)
     if duration == math.inf:
         return runs + [(flight, range(k, k + 1), duration, 0, peak)]
     step = max(1, math.ceil(duration * omega / TWO_PI))
@@ -274,10 +314,8 @@ def simulate(
     sin, cos, new = math.sin, math.cos, tuple.__new__
     x, samples, peaks, events, k = 0.0, [], [], [], 0
     for flight, ks, duration, landed, peak in _cycles(robot, motor, cfg):
-        # _Flight.theta and _Flight.rate inlined with one sin per sample
-        c_force, c_grav, omega = flight.c_force, flight.c_grav, flight.omega
-        psi0, theta0, sin0 = flight.psi0, flight.theta0, flight.sin0
-        rate0, swing, force_omega = flight.rate0, flight.swing, flight.force_omega
+        # _Flight.state inlined with one sin per sample
+        c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = flight.terms
         for i, lift_off in enumerate(map(flight.lift_off, ks)):
             counted = i < landed and peak is not None
             touchdown = lift_off + duration if i < landed else math.inf

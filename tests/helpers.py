@@ -4,8 +4,9 @@ The oracles deliberately take different numerical routes than the library
 (exact rational series, collocation BVP solves, fixed-step RK4 time stepping
 with bisection for the rigid regime, whose library solver is the exact
 event-driven closed form, grid scans plus bisection on that closed form
-in another arrangement for its Newton event location, and a walk over the
-window one flight at a time for its closed-form cycle count) so that
+in another arrangement for its Newton event location, a walk over the
+window one flight at a time for its closed-form cycle count, and bisection of
+the dimensionless flight in u-form for its fitted Newton starts) so that
 agreement actually means something.
 """
 
@@ -269,6 +270,57 @@ def flight_events(c_force: float, c_grav: float, omega: float, psi0: float,
 
 
 # ---------------------------------------------------------------------------
+# phase oracle for the roots of a flight from rest
+
+def _series(u: float, term: float, k: int) -> float:
+    """The alternating tail of the sine or cosine series from its term
+    u^k/k!: term - term*u^2/((k+1)(k+2)) + ..., summed until it stops
+    changing."""
+    total = 0.0
+    while total + term != total:
+        total += term
+        term *= -u * u / ((k + 1) * (k + 2))
+        k += 2
+    return total
+
+
+def from_rest_phases(rho: float):
+    """(touchdown, theta_dot roots before it) of the flight from rest at
+    rho = c_g/c_f < 1, as phases u = omega*s after lift-off.
+
+    The dimensionless flight in u-form, with c = sqrt(1 - rho^2):
+    theta_dot ~ c*(1 - cos u) - rho*(u - sin u) and
+    theta ~ c*(u - sin u) - rho*(u^2/2 - (1 - cos u)), with 1 - cos u as
+    2 sin^2(u/2) and both u - sin u and u^2/2 - (1 - cos u) summed as series
+    below u = 1, so that nothing cancels. Sign changes are scanned on a grid
+    fine against the flight length and bisected to float resolution.
+
+    Independent route to regime2._starts, which fits these phases, and to
+    the library's closed form in time, which cancels as rho nears 1.
+    """
+    c = math.sqrt((1.0 - rho) * (1.0 + rho))
+
+    def rate(u):
+        sine = u - math.sin(u) if u >= 1.0 else _series(u, u**3 / 6.0, 3)
+        return 2.0 * c * math.sin(0.5 * u) ** 2 - rho * sine
+
+    def theta(u):
+        sine = u - math.sin(u) if u >= 1.0 else _series(u, u**3 / 6.0, 3)
+        versine = 0.5 * u * u - 2.0 * math.sin(0.5 * u) ** 2 if u >= 1.0 else (
+            _series(u, u**4 / 24.0, 4))
+        return c * sine - rho * versine
+
+    step = min(0.01, c / rho / 50.0)
+    turns, u = [], step
+    while True:
+        if (rate(u) > 0.0) != (rate(u + step) > 0.0):
+            turns.append(bisect(rate, u, u + step))
+        if theta(u + step) <= 0.0:
+            return bisect(theta, u, u + step), turns
+        u += step
+
+
+# ---------------------------------------------------------------------------
 # walk oracle for the number of flights in a regime-2 window
 
 def walk_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
@@ -299,7 +351,7 @@ def walk_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
 
     flights, at_rest = [], 0.0
     if cfg.theta0 > 0.0:
-        tilted = regime2._Flight(c_force, c_grav, omega, 0.0, cfg.theta0)
+        tilted = regime2._Flight(c_force, c_grav, omega, cfg.theta0)
         flights.append(flight(0.0, tilted.land(0.0, end)))
         at_rest = flights[0][1]
     if not (c_grav < c_force and at_rest < end):
@@ -309,7 +361,7 @@ def walk_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
     lift_off = (2.0 * math.pi * k + rise) / omega
     if not lift_off < end:
         return flights
-    landing = regime2._Flight(c_force, c_grav, omega, rise, 0.0).land(lift_off, end - lift_off)
+    landing = regime2._Flight(c_force, c_grav, omega, 0.0).land(lift_off, end - lift_off)
     while lift_off < end:
         flights.append(flight(lift_off, landing))
         if flights[-1][1] == math.inf:

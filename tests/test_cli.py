@@ -151,6 +151,8 @@ class TestConfigParsing:
         [
             pytest.param({"DEFAULT": {"speed": "300.0"}},
                          "[DEFAULT] section is not supported", id="default-section"),
+            pytest.param({"DEFAULT": {}}, "[DEFAULT] section is not supported",
+                         id="bare-default-section"),
             pytest.param({"sweep": dict(parameter="omega", objective="k_theta",
                                         start="100", stop="300")},
                          "[sweep] needs grid= or all of start=, stop=, points=",
