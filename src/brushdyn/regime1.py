@@ -24,6 +24,14 @@ class ResonanceError(ValueError):
     """Motor speed is inside the guard band around the brush natural frequency."""
 
 
+def _power(value: float, exponent: int, name: str) -> float:
+    """value**exponent, or an OverflowError that names the value."""
+    try:
+        return value**exponent
+    except OverflowError:
+        raise OverflowError(f"{name}**{exponent} overflows at {name} = {value!r}") from None
+
+
 def beam_deflection(brush: BrushParams, force: float, position: float) -> float:
     """Deflection v of the brush at a point along its axis under tip force.
 
@@ -45,7 +53,7 @@ def beam_deflection(brush: BrushParams, force: float, position: float) -> float:
 def tip_displacement(brush: BrushParams, force: float) -> float:
     """Magnitude of the tip deflection, |v(l)| = F*l^3*cos(alpha)/(3EI)."""
     return abs(
-        force * brush.length**3 * math.cos(brush.inclination)
+        force * _power(brush.length, 3, "length") * math.cos(brush.inclination)
         / (3.0 * brush.flexural_rigidity)
     )
 
@@ -53,12 +61,13 @@ def tip_displacement(brush: BrushParams, force: float) -> float:
 def lumped_stiffness(brush: BrushParams) -> float:
     """Equivalent angular stiffness 3EI/(l^2*cos(alpha)), N/rad.
 
-    Grows without bound as the brush approaches vertical; validation keeps
-    alpha strictly inside (0, pi/2) so this is always finite.
+    Grows without bound as the brush approaches vertical (alpha < pi/2);
+    raises, naming length, if length**2 overflows or length**2*cos(alpha) is 0.
     """
-    return 3.0 * brush.flexural_rigidity / (
-        brush.length**2 * math.cos(brush.inclination)
-    )
+    arm = _power(brush.length, 2, "length") * math.cos(brush.inclination)
+    if arm == 0.0:
+        raise ZeroDivisionError(f"length**2*cos(inclination) is 0 at length = {brush.length!r}")
+    return 3.0 * brush.flexural_rigidity / arm
 
 
 def lumped_inertia(brush: BrushParams) -> float:
@@ -68,7 +77,10 @@ def lumped_inertia(brush: BrushParams) -> float:
 
 def natural_frequency(brush: BrushParams) -> float:
     """Natural frequency sqrt(k/I) = sqrt(6EI/(M_b*l^4*cos(alpha))), rad/s."""
-    return math.sqrt(lumped_stiffness(brush) / lumped_inertia(brush))
+    k_theta, i_theta = lumped_stiffness(brush), lumped_inertia(brush)
+    if i_theta == 0.0 or k_theta / i_theta == 0.0:  # every caller divides by it
+        raise ZeroDivisionError(f"k_theta/I_theta = {k_theta!r}/{i_theta!r} is 0 or undefined")
+    return math.sqrt(k_theta / i_theta)
 
 
 def return_time(brush: BrushParams) -> float:
@@ -134,7 +146,7 @@ def forced_amplitude(brush: BrushParams, motor: MotorParams) -> float:
         )
     return (
         motor.force_amplitude * math.cos(brush.inclination)
-        / (lumped_inertia(brush) * (omega_n**2 - omega**2))
+        / (lumped_inertia(brush) * (_power(omega_n, 2, "omega_n") - _power(omega, 2, "speed")))
     )
 
 

@@ -13,9 +13,10 @@ The solver is exact and event-driven: theta_ddot = c_f*sin(omega*t) - c_g
 depends on time only, so flights have a closed form, and every lift-off from
 rest is at the forcing phase asin(c_g/c_f), so all flights from rest are one
 flight shifted by whole periods. One inlined Newton kernel finds peaks and
-touchdowns, from phases fitted in rho = c_g/c_f for a flight from rest, to
-float resolution away from the lift-off threshold; the closed form cancels as
-rho nears 1, so the steady peak is off by 6.4e-10 (relative) at rho = 1 - 1e-4
+touchdowns from phases fitted in rho = c_g/c_f for a flight from rest, in ~4
+evaluations each (once converged it gallops out of rounding noise), to float
+resolution away from the lift-off threshold; the closed form cancels as rho
+nears 1, so the steady peak is off by 6.4e-10 (relative) at rho = 1 - 1e-4
 and by 11 % at rho = 1 - 1e-8. dt only sets the sampling grid. Limit: this
 holds only while the moments do not depend on theta (fixed moment arms).
 """
@@ -143,13 +144,6 @@ class _Flight:
         rest = theta0 == 0.0 and lifts and c_grav >= 0.05 * c_force  # else midpoints only
         self.starts = _starts(c_grav / c_force, omega) if rest else ((), ())
 
-    def state(self, s: float) -> tuple[float, float]:
-        """(theta, theta_dot) at s."""
-        c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
-        phase = psi0 + omega * s
-        return (theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (math.sin(phase) - sin0),
-                rate0 - force_omega * math.cos(phase) - c_grav * s)
-
     def lift_off(self, k: int) -> float:
         return (TWO_PI * k + self.psi0) / self.omega
 
@@ -158,14 +152,16 @@ class _Flight:
         the root of f = theta_dot (peak) or theta in (lo, hi), above = f(lo) > 0
         and angle = theta(hi). Newton steps on f, with f and its slope inline
         from one phase, start from the first of self.starts[peak] inside
-        (lo, hi), else the midpoint; f is evaluated only inside (lo, hi). A step
-        that would leave (lo, hi) or is over half the one before gives way to a
-        bisection, which caps the cost at about twice bisection's. Each step is
-        aimed two ulps past its estimate, toward the end x did not just
-        replace, so a converged one lands across the root."""
+        (lo, hi), else the midpoint, and aim at their bare estimates; f is
+        evaluated only inside (lo, hi). An estimate that rounds onto an end
+        tries that end's neighbour next. After a step over half the one before,
+        x gallops from its end toward the other once converged (half the last
+        step within 4 ulps), by 2, 4, 8, ... ulps over the call; else, as after
+        a step out of (lo, hi), the next point bisects. The cost stays at most
+        about twice bisection's."""
         sin, cos, ulp = math.sin, math.cos, math.ulp
         c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
-        x, half, top = lo, 0.5 * (hi - lo), None  # top: sine at hi
+        x, half, reach, top = lo, 0.5 * (hi - lo), 2.0, None  # top: sine at hi
         for x in self.starts[peak]:
             if lo < x < hi:
                 break
@@ -186,14 +182,18 @@ class _Flight:
                 value = theta0 + (rate0 - 0.5 * c_grav * x) * x - swing * (sine - sin0)
                 d = rate
             if (value > 0.0) == above:
-                lo, toward = x, -2.0
+                lo, far = x, hi
             else:
-                hi, top, toward = x, sine, 2.0
-            if d:  # else x is an end, as after a step over half the last one
-                step = value / d
-                if -half <= step <= half:  # else the next point bisects
-                    half = 0.5 * abs(step)
-                    x -= step + toward * ulp(x)
+                hi, top, far = x, sine, lo
+            step = value / d if d else math.inf
+            if -half <= step <= half:
+                half = 0.5 * abs(step)
+                x -= step
+                if x == lo or x == hi:  # converged onto an end: try its neighbour
+                    x = math.nextafter(x, far)
+            elif half <= 4.0 * ulp(x):  # converged, the step is noise: gallop
+                x += math.copysign(reach * ulp(x), far - x)
+                reach *= 2.0
 
     def land(self, lift_off: float, limit: float) -> tuple[float, float | None]:
         """Touchdown time (math.inf if airborne at ``limit``) and the peak
@@ -203,16 +203,19 @@ class _Flight:
         is monotone between zeros of theta_dot. Values at bracket ends carry
         over; the peak is None for a flight too short to be a cycle.
         """
-        lifts, rise, psi0, omega = self.lifts, self.rise, self.psi0, self.omega
-        peak = angle = self.terms[4]  # theta(0) is theta0 and theta_dot(0) 0.0 exactly
+        c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
+        lifts, rise = self.lifts, self.rise
+        peak = angle = theta0  # theta(0) is theta0 and theta_dot(0) 0.0 exactly
         p, v_p, index = 0.0, 0.0, 0 if psi0 < rise else 1  # the first turn after psi0
         while p < limit:
             q = limit
             if lifts:
-                phase = (rise, math.pi - rise)[index % 2] + TWO_PI * (index // 2)
-                q = min(q, (phase - psi0) / omega)
+                turn = (rise, math.pi - rise)[index % 2] + TWO_PI * (index // 2)
+                q = min(q, (turn - psi0) / omega)
                 index += 1
-            a_q, v_q = self.state(q)
+            phase = psi0 + omega * q  # theta and theta_dot at q
+            a_q = theta0 + (rate0 - 0.5 * c_grav * q) * q - swing * (math.sin(phase) - sin0)
+            v_q = rate0 - force_omega * math.cos(phase) - c_grav * q
             pieces = ((q, v_p > 0.0 or v_q > 0.0, a_q),)
             if v_p > 0.0 > v_q or v_p < 0.0 < v_q:
                 r, a_r = self.root(p, q, a_q, v_p > 0.0, True)
@@ -270,7 +273,7 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     flight = _Flight(c_force, c_grav, omega, 0.0)
     rise = flight.rise
     k = max(0, math.ceil((omega * at_rest - rise) / TWO_PI))
-    if not (start := flight.lift_off(k)) < end:
+    if not (start := (TWO_PI * k + rise) / omega) < end:  # flight.lift_off(k) inline
         return runs
     duration, peak = flight.land(start, end - start)
     if duration == math.inf:
@@ -280,7 +283,7 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     # it one too high: count up from one below it against the times themselves.
     last = math.floor(((end - duration) * omega - rise) / TWO_PI)
     landed = max(0, (last - k) // step)
-    while (t := flight.lift_off(k + landed * step)) < end and t + duration <= end:
+    while (t := (TWO_PI * (k + landed * step) + rise) / omega) < end and t + duration <= end:
         landed += 1
     flights = landed + (t < end)  # the one after them lifts off, but lands too late
     return runs + [(flight, range(k, k + flights * step, step), duration, landed, peak)]
@@ -288,8 +291,11 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
 
 def cycle_peaks(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> tuple:
     """``simulate(robot, motor, cfg).cycle_peaks`` without sampling the flights."""
-    runs = _cycles(robot, motor, cfg)  # each landed flight of a run has its peak
-    return sum([(peak,) * landed for *_, landed, peak in runs if peak is not None], ())
+    peaks = ()
+    for *_, landed, peak in _cycles(robot, motor, cfg):  # each landed flight has its peak
+        if peak is not None:
+            peaks += (peak,) * landed
+    return peaks
 
 
 def simulate(
@@ -314,7 +320,7 @@ def simulate(
     sin, cos, new = math.sin, math.cos, tuple.__new__
     x, samples, peaks, events, k = 0.0, [], [], [], 0
     for flight, ks, duration, landed, peak in _cycles(robot, motor, cfg):
-        # _Flight.state inlined with one sin per sample
+        # the closed form of _Flight.land, with one sin per sample
         c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = flight.terms
         for i, lift_off in enumerate(map(flight.lift_off, ks)):
             counted = i < landed and peak is not None

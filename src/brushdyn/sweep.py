@@ -52,8 +52,9 @@ def _positive(value: float) -> bool:
 # Sweep parameter name -> (grid domain, apply(value, brush, motor) giving the
 # brush and motor at that grid value).
 PARAMETERS: dict[str, tuple[Callable[[float], bool], Callable]] = {
-    "omega": (_positive,  # built from named fields: cheaper than _replace per point
-              lambda v, b, m: (b, MotorParams(m.eccentric_mass, m.eccentricity, v))),
+    # unchecked: _positive is MotorParams' speed check, and m's other fields are valid
+    "omega": (_positive, lambda v, b, m: (
+        b, tuple.__new__(MotorParams, (m.eccentric_mass, m.eccentricity, v)))),
     "alpha": (
         lambda v: 0.0 < v < math.pi / 2.0,
         lambda v, b, m: (b._replace(inclination=v), m),
@@ -182,7 +183,8 @@ def run_sweep(
             "objective v_r_regime2 needs robot and sim parameters"
         )
     _, apply = PARAMETERS[spec.parameter]
-    evaluate = OBJECTIVES[spec.objective]
+    # tuple.__new__ builds each SweepRow without its Python-level __new__
+    evaluate, new = OBJECTIVES[spec.objective], tuple.__new__
     rows = []
     best_value: float | None = None
     best_objective = -math.inf
@@ -192,15 +194,10 @@ def run_sweep(
             if not math.isfinite(objective):
                 raise OverflowError(f"{spec.objective} is {objective!r}")
         except FAILURE_TYPES as exc:
-            rows.append(SweepRow(value, None, failure(exc)[0]))
+            rows.append(new(SweepRow, (value, None, failure(exc)[0])))
             continue
-        rows.append(SweepRow(value, objective, STATUS_OK))
+        rows.append(new(SweepRow, (value, objective, STATUS_OK)))
         if objective > best_objective:
             best_objective = objective
             best_value = value
-    return SweepResult(
-        parameter=spec.parameter,
-        objective=spec.objective,
-        rows=tuple(rows),
-        argmax=best_value,
-    )
+    return SweepResult(spec.parameter, spec.objective, tuple(rows), best_value)

@@ -1,6 +1,5 @@
 """Command surface: output formats, exit codes, determinism."""
 
-import errno
 import io
 import json
 import math
@@ -855,38 +854,35 @@ class TestNonFiniteValues:
         assert err.startswith(f"error: cannot read config file {str(path)!r}: ")
         assert "can't decode byte 0xb0" in err
 
-    # speed = 1e300 is finite but omega**2 overflows: predict-r1 raises in
-    # regime1 (stderr gives the errno text, not its tuple), classify computes
-    # lift_ratio = inf. length = 1e-200 and young_modulus = 5e-324 are
-    # positive, but l**2 or EI underflows to a zero divisor.
+    # speed = 1e300 is finite but its square overflows in regime1, and
+    # classify computes lift_ratio = inf. length = 1e-200 and young_modulus =
+    # 5e-324 are positive, but length**2 or EI underflows to 0, a zero divisor.
+    # Each message names the quantity and its value.
     @pytest.mark.parametrize(
-        "command, change, kind",
+        "command, change, message",
         [
-            pytest.param("predict-r1", ("motor", "speed", "1e300"), "overflow",
-                         id="predict-r1"),
-            pytest.param("classify", ("motor", "speed", "1e300"), "overflow",
-                         id="classify"),
+            pytest.param("predict-r1", ("motor", "speed", "1e300"),
+                         "overflow: speed**2 overflows at speed = 1e+300", id="predict-r1"),
+            pytest.param("classify", ("motor", "speed", "1e300"),
+                         "overflow: lift_ratio is inf", id="classify"),
             *(
-                pytest.param(command, ("brush", key, value), "underflow",
+                pytest.param(command, ("brush", key, value), f"underflow: {message}",
                              id=f"{command}-{key}")
                 for command in ("predict-r1", "classify")
-                for key, value in (("length", "1e-200"), ("young_modulus", "5e-324"))
+                for key, value, message in (
+                    ("length", "1e-200", "length**2*cos(inclination) is 0 at length = 1e-200"),
+                    ("young_modulus", "5e-324",
+                     "k_theta/I_theta = 0.0/2.0000000000000002e-07 is 0 or undefined"),
+                )
             ),
         ],
     )
     @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
-    def test_overflowing_result_exits_2(self, tmp_path, capsys, command, change, kind, form):
+    def test_overflowing_result_exits_2(self, tmp_path, capsys, command, change, message, form):
         section, key, value = change
         path = write_config(tmp_path, {**FULL, section: {**FULL[section], key: value}})
         code, out, err = run_cli(capsys, [command, "--config", path, *form])
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: arithmetic {kind}: ")
-        assert err.count("\n") == 1
-        if command == "classify" and kind == "overflow":
-            assert err == "error: arithmetic overflow: lift_ratio is inf\n"
-        if command == "predict-r1" and kind == "overflow":
-            assert err == f"error: arithmetic overflow: {os.strerror(errno.ERANGE)}\n"
+        assert (code, out, err) == (2, "", f"error: arithmetic {message}\n")
 
     # A sweep point that leaves the float range is an invalid row, and the
     # other rows and the argmax stand. Over l: l = 1e-200 underflows l**2 to

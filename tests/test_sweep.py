@@ -97,6 +97,27 @@ class TestSweepSpec:
             SweepSpec.from_range(parameter, "k_theta", start, stop, 5)
 
 
+class TestOmegaRecord:
+    """An omega point's motor is built unchecked (tuple.__new__), so the
+    grid domain must refuse every speed that MotorParams refuses."""
+
+    def test_record_equals_the_validated_motor(self, brush, motor):
+        _, apply = PARAMETERS["omega"]
+        for value in (5e-324, 1e-300, 0.5, 1, 300.0, 1e300, 1.7976931348623157e308):
+            SweepSpec("omega", "v_r_regime2", (value,))  # on the grid
+            got_brush, got = apply(value, brush, motor)
+            assert got_brush is brush and type(got) is MotorParams
+            assert got == MotorParams(motor.eccentric_mass, motor.eccentricity, value)
+            assert got.speed is value
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_speeds_motor_params_refuses_are_off_the_grid(self, motor, value):
+        with pytest.raises(ValidationError, match="out of domain"):
+            SweepSpec("omega", "v_r_regime2", (value,))
+        with pytest.raises(ValidationError):
+            motor._replace(speed=value)
+
+
 class TestRunSweep:
     def test_amplitude_peaks_next_to_resonance(self, brush, motor):
         omega_n = regime1.natural_frequency(brush)
