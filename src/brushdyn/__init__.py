@@ -34,27 +34,4 @@ from .sweep import SweepResult, SweepSpec
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BrushParams",
-    "MotorParams",
-    "RobotParams",
-    "ValidationError",
-    "Regime1Prediction",
-    "ResonanceError",
-    "SimConfig",
-    "Regime2Trajectory",
-    "ModelDomainError",
-    "NoCompletedCycleError",
-    "Regime",
-    "RegimeReport",
-    "SweepSpec",
-    "SweepResult",
-    "RunConfig",
-    "ConfigError",
-    "load_config",
-    "classify",
-    "config",
-    "regime1",
-    "regime2",
-    "sweep",
-]
+__all__ = [n for n in dir() if not n.startswith("_")]

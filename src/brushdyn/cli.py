@@ -81,11 +81,10 @@ def cmd_simulate_r2(cfg: RunConfig) -> tuple:
 
     def write(handle) -> None:
         handle.write(TRAJECTORY_HEADER + "\n")
-        # x changes only at touchdowns (simulate reuses one float object
-        # between them), so its text is formatted once per cycle.
+        # x changes only at touchdowns, so its text is formatted once per cycle.
         last_x = x_text = None
         for t, theta, theta_dot, theta_ddot, x in traj.samples:
-            if x is not last_x:
+            if x != last_x:
                 last_x, x_text = x, repr(x)
             handle.write(f"{t!r} {theta!r} {theta_dot!r} {theta_ddot!r} {x_text}\n")
 

@@ -29,22 +29,18 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def require_finite(params) -> None:
-    """Reject an inf or nan float in any field of a parameter record."""
-    for i, value in enumerate(params):  # cheaper per record than zip with _fields
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"{params._fields[i]} must be finite")
-
-
 def validated(cls):
     """Check each instance the NamedTuple cls builds (constructor, _make, _replace):
-    require_finite, then cls._check. A NamedTuple body may not define __new__."""
+    no float field may be inf or nan, then cls._check. A NamedTuple body may
+    not define __new__."""
     new = cls.__new__
 
     @functools.wraps(new)  # keeps the field signature for help() and inspect
     def __new__(cls, *args, **kwargs):
         self = new(cls, *args, **kwargs)
-        require_finite(self)
+        for i, value in enumerate(self):  # cheaper per record than zip with _fields
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{self._fields[i]} must be finite")
         self._check()
         return self
 

@@ -190,14 +190,12 @@ class Regime1Prediction(NamedTuple):
 def predict(brush: BrushParams, motor: MotorParams) -> Regime1Prediction:
     """Full flexible-brush prediction; raises ResonanceError in the guard band
     and ModelDomainError when the stick-phase angle exceeds the inclination."""
-    theta_hat = forced_amplitude(brush, motor)
-    delta = step_displacement(brush, motor)
     return Regime1Prediction(
         k_theta=lumped_stiffness(brush),
         I_theta=lumped_inertia(brush),
         omega_n=natural_frequency(brush),
         t_bar=return_time(brush),
-        theta_hat=theta_hat,
-        delta=delta,
-        v_r=motor.speed / (2.0 * math.pi) * delta,  # ground_speed on the one step
+        theta_hat=forced_amplitude(brush, motor),
+        delta=step_displacement(brush, motor),
+        v_r=ground_speed(brush, motor),
     )

@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
-from .params import ValidationError, validated
+from .params import ValidationError, _require, validated
 
 # Body angles beyond this break the single-pivot geometry.
 MAX_BODY_ANGLE = math.pi / 2.0
@@ -63,16 +63,12 @@ class SimConfig(NamedTuple):
     record_stride: int = 1
 
     def _check(self) -> None:
-        if not self.t_end > 0.0:
-            raise ValidationError("t_end must be > 0")
-        if not self.dt > 0.0:
-            raise ValidationError("dt must be > 0")
-        if not math.isfinite(self.t_end / self.dt):
-            raise ValidationError("t_end / dt must be finite")
-        if not 0.0 <= self.theta0 < MAX_BODY_ANGLE:
-            raise ValidationError("theta0 out of [0, pi/2)")
-        if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
-            raise ValidationError("record_stride must be a positive integer")
+        _require(self.t_end > 0.0, "t_end must be > 0")
+        _require(self.dt > 0.0, "dt must be > 0")
+        _require(math.isfinite(self.t_end / self.dt), "t_end / dt must be finite")
+        _require(0.0 <= self.theta0 < MAX_BODY_ANGLE, "theta0 out of [0, pi/2)")
+        _require(isinstance(self.record_stride, int) and self.record_stride >= 1,
+                 "record_stride must be a positive integer")
 
 
 class Sample(NamedTuple):
@@ -154,14 +150,16 @@ class _Flight:
         from one phase, start from the first of self.starts[peak] inside
         (lo, hi), else the midpoint, and aim at their bare estimates; f is
         evaluated only inside (lo, hi). An estimate that rounds onto an end
-        tries that end's neighbour next. After a step over half the one before,
-        x gallops from its end toward the other once converged (half the last
-        step within 4 ulps), by 2, 4, 8, ... ulps over the call; else, as after
-        a step out of (lo, hi), the next point bisects. The cost stays at most
-        about twice bisection's."""
+        tries that end's neighbour next. x gallops from its end toward the
+        other, by 2, 4, 8, ... ulps over the call, when f repeats its last
+        value exactly (f is flat there and steps round to 0), or when a step
+        over half the one before follows convergence (half the last step within
+        4 ulps); after any other such step, or one out of (lo, hi), the next
+        point bisects. The cost stays at most about twice bisection's, on flat
+        stretches too."""
         sin, cos, ulp = math.sin, math.cos, math.ulp
         c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
-        x, half, reach, top = lo, 0.5 * (hi - lo), 2.0, None  # top: sine at hi
+        x, half, reach, top, last = lo, 0.5 * (hi - lo), 2.0, None, math.nan  # top: sine at hi
         for x in self.starts[peak]:
             if lo < x < hi:
                 break
@@ -186,14 +184,15 @@ class _Flight:
             else:
                 hi, top, far = x, sine, lo
             step = value / d if d else math.inf
-            if -half <= step <= half:
+            if -half <= step <= half and value != last:
                 half = 0.5 * abs(step)
                 x -= step
                 if x == lo or x == hi:  # converged onto an end: try its neighbour
                     x = math.nextafter(x, far)
-            elif half <= 4.0 * ulp(x):  # converged, the step is noise: gallop
+            elif half <= 4.0 * ulp(x) or value == last:  # noise or a flat f: gallop
                 x += math.copysign(reach * ulp(x), far - x)
                 reach *= 2.0
+            last = value
 
     def land(self, lift_off: float, limit: float) -> tuple[float, float | None]:
         """Touchdown time (math.inf if airborne at ``limit``) and the peak
@@ -201,7 +200,8 @@ class _Flight:
         theta, each time found by root as the only root in its bracket:
         theta_ddot changes sign only at the phases rise and pi - rise, theta
         is monotone between zeros of theta_dot. Values at bracket ends carry
-        over; the peak is None for a flight too short to be a cycle.
+        over; the peak is None for a flight too short to be a cycle, else in
+        [0, pi/2): an angle at pi/2 or beyond raises ModelDomainError.
         """
         c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
         lifts, rise = self.lifts, self.rise
@@ -226,7 +226,7 @@ class _Flight:
                     duration = self.root(p, q, angle, start > 0.0, False)[0]
                     short = duration < _MIN_FLIGHT_FRACTION * (TWO_PI / omega)
                     return duration, None if short else peak
-                if rising and angle > MAX_BODY_ANGLE:
+                if rising and angle >= MAX_BODY_ANGLE:
                     raise ModelDomainError(f"body angle {angle:.6g} rad exceeds pi/2 "
                                            f"at t = {lift_off + q:.6g} s")
                 if rising and v_q <= 0.0 and angle > peak:  # theta_dot(q) is on v_q's side
@@ -273,7 +273,7 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     flight = _Flight(c_force, c_grav, omega, 0.0)
     rise = flight.rise
     k = max(0, math.ceil((omega * at_rest - rise) / TWO_PI))
-    if not (start := (TWO_PI * k + rise) / omega) < end:  # flight.lift_off(k) inline
+    if not (start := flight.lift_off(k)) < end:
         return runs
     duration, peak = flight.land(start, end - start)
     if duration == math.inf:
@@ -283,7 +283,7 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     # it one too high: count up from one below it against the times themselves.
     last = math.floor(((end - duration) * omega - rise) / TWO_PI)
     landed = max(0, (last - k) // step)
-    while (t := (TWO_PI * (k + landed * step) + rise) / omega) < end and t + duration <= end:
+    while (t := flight.lift_off(k + landed * step)) < end and t + duration <= end:
         landed += 1
     flights = landed + (t < end)  # the one after them lifts off, but lands too late
     return runs + [(flight, range(k, k + flights * step, step), duration, landed, peak)]
@@ -313,7 +313,7 @@ def simulate(
     is not a cycle, and its theta is only kept >= 0.
 
     Raises ValidationError when dt or t_end violate the resolution guards
-    and ModelDomainError if the body angle exceeds pi/2 inside the window.
+    and ModelDomainError if the body angle reaches pi/2 inside the window.
     """
     dt, stride, steps = cfg.dt, cfg.record_stride, _steps(cfg)
     # tuple.__new__ builds each Sample without its Python-level __new__
@@ -340,7 +340,7 @@ def simulate(
                 theta = 0.0 if theta < 0.0 else theta if theta < top else top
                 samples.append(new(Sample, (t, theta, rate, c_force * sine - c_grav, x)))
             if counted:
-                x += robot.step_height * sin(peak)
+                x += step_displacement(robot, peak)
                 samples.append(new(Sample, (touchdown, 0.0, 0.0, 0.0, x)))
                 peaks.append(peak)
                 events.append(FlightEvent(lift_off, touchdown))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -634,6 +635,27 @@ class TestPipeline:
 
 
 class TestEntryPoint:
+    # the names brushdyn.__all__ listed by hand before it was derived
+    PUBLIC = (
+        "BrushParams", "MotorParams", "RobotParams", "ValidationError",
+        "Regime1Prediction", "ResonanceError", "SimConfig", "Regime2Trajectory",
+        "ModelDomainError", "NoCompletedCycleError", "Regime", "RegimeReport",
+        "SweepSpec", "SweepResult", "RunConfig", "ConfigError", "load_config",
+        "classify", "config", "regime1", "regime2", "sweep",
+    )
+
+    def test_star_import_binds_the_public_names(self):
+        import pydoc
+
+        import brushdyn
+
+        namespace = {}
+        exec("from brushdyn import *", namespace)
+        assert set(self.PUBLIC) <= set(namespace) and set(self.PUBLIC) <= set(brushdyn.__all__)
+        assert not any(name.startswith("_") for name in brushdyn.__all__)
+        text = pydoc.render_doc(brushdyn, renderer=pydoc.plaintext)  # what help() shows
+        assert all(f"class {name}(" in text for name in self.PUBLIC if name[0].isupper())
+
     def test_python_dash_m(self, tmp_path):
         path = write_config(tmp_path, FULL)
         proc = subprocess.run(
@@ -1049,3 +1071,43 @@ class TestFuzz:
                 codes.append(code)
             capsys.readouterr()
         assert {0, 2} <= set(codes)
+
+    # Flights that are flat over many floats: motor off from a subnormal
+    # theta0, and c_f, c_g subnormal under the largest pivot_inertia. The
+    # root finder once tried one float per evaluation there: simulate-r2 and
+    # the sweep never finished on the first, and the sweep took ~35 s on the
+    # second.
+    FLAT = {
+        "motor_off_theta0_5e-324": {"motor": {"eccentric_mass": "0"},
+                                    "sim": {"theta0": "5e-324"}},
+        "pivot_inertia_max": {"robot": {"pivot_inertia": "1.7976931348623157e308"},
+                              "sim": {"dt": "1e-5"}},
+    }
+    SECONDS = 5.0
+
+    @staticmethod
+    def overtime(signum, frame):
+        raise AssertionError(f"a run took over {TestFuzz.SECONDS} s")
+
+    @pytest.mark.parametrize("name", sorted(FLAT))
+    def test_flat_flights_finish_within_seconds(self, tmp_path, capsys, name):
+        sweep = dict(self.BASE["sweep"], start="100", stop="5000", points="20")
+        sections = {**FULL, "sweep": sweep}
+        for section, changes in self.FLAT[name].items():
+            sections[section] = {**sections[section], **changes}
+        path = write_config(tmp_path, sections)
+        out = str(tmp_path / "out.txt")
+        previous = signal.signal(signal.SIGALRM, self.overtime)
+        try:
+            for command in ("predict-r1", "classify", "simulate-r2", "sweep"):
+                argv = [command, "--config", path]
+                if command in ("simulate-r2", "sweep"):
+                    argv += ["--out", out]
+                signal.setitimer(signal.ITIMER_REAL, self.SECONDS)
+                code = main(argv)
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+                assert code in (0, 2, 3, 4), command
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        capsys.readouterr()

@@ -432,6 +432,19 @@ class Times(float):
         return float(self) * s
 
 
+class Ceiling(list):
+    """A Times log that fails the test past ``limit`` evaluations, so a
+    root finder that stalls fails in seconds instead of hanging."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def append(self, s):
+        assert len(self) < self.limit, f"over {self.limit} evaluations"
+        super().append(s)
+
+
 def recorded(c_force, c_grav, omega, theta0):
     """A flight that logs its evaluation times, the log, and the same flight
     with a plain omega."""
@@ -584,6 +597,19 @@ class TestRootCost:
         assert duration < math.inf and [args[-1] for args, *_ in calls] == [True, False]
         for (lo, hi, _, _, peak), evaluated, _ in calls:
             assert len(evaluated) <= 2 * self.bisections(plain, lo, hi, peak), peak
+
+    # Motor off from a subnormal theta0: theta = theta0 - c_g*s^2/2 rounds to
+    # the same few subnormals over ~1e15 floats around its root, where every
+    # Newton step is 0, so trying one neighbour float per evaluation there
+    # never ends; bisection takes ~580.
+    @pytest.mark.parametrize("theta0", [5e-324, 1e-320, 1e-315])
+    def test_flat_stretch_costs_at_most_twice_bisection(self, theta0):
+        flight, _, plain = recorded(0.0, 73.575, 300.0, theta0)
+        log = flight.omega.log = Ceiling(10_000)
+        (duration, _), calls = land_roots(flight, log, 0.5)
+        assert duration < math.inf and [args[-1] for args, *_ in calls] == [False]
+        for (lo, hi, _, _, peak), evaluated, _ in calls:
+            assert len(evaluated) <= 2 * self.bisections(plain, lo, hi, peak)
 
 
 class TestStarts:
