@@ -8,8 +8,9 @@ config produces byte-identical results on every run.
 
 `main` runs every command in one order: load the config, compute (a
 `cmd_*` handler reads only the config and prints nothing), write `--out`
-if the command takes it, print to stdout. A run that fails before the
-write leaves `--out` untouched.
+if the command takes it (the writer may return pairs measured from what it
+wrote), print to stdout. A run that fails before the write leaves `--out`
+untouched. `simulate-r2` writes samples as `regime2.stream` yields them.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ def cmd_predict_r1(cfg: RunConfig) -> tuple:
 
 
 def cmd_simulate_r2(cfg: RunConfig) -> tuple:
-    traj = regime2.simulate(cfg.robot, cfg.motor, cfg.sim)
+    traj = regime2.stream(cfg.robot, cfg.motor, cfg.sim)  # raises before --out opens
 
-    def write(handle) -> None:
+    def write(handle) -> list:
         handle.write(TRAJECTORY_HEADER + "\n")
         # x changes only at touchdowns, so its text is formatted once per cycle.
         last_x = x_text = None
@@ -87,13 +88,12 @@ def cmd_simulate_r2(cfg: RunConfig) -> tuple:
             if x != last_x:
                 last_x, x_text = x, repr(x)
             handle.write(f"{t!r} {theta!r} {theta_dot!r} {theta_ddot!r} {x_text}\n")
+        return [("mean_v_r", x / t if t > 0.0 else 0.0)]  # of the last sample
 
     cycles = len(traj.cycle_peaks)
-    last = traj.samples[-1]
     return [
         ("cycles", cycles),
         ("peak_angle", regime2.peak_angle(traj) if cycles else None),
-        ("mean_v_r", last.x / last.t if last.t > 0.0 else 0.0),
     ], write
 
 
@@ -124,7 +124,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
 # Command -> (handler, config sections it needs, what --out holds or None
 # when it writes no file, table separator between name and value, help text).
 # A handler returns its (name, value) pairs and, when --out is taken, the
-# function that writes the file body to an open handle.
+# function that writes the file body to an open handle (and its own pairs).
 _COMMANDS = {
     "predict-r1": (cmd_predict_r1, ("brush", "motor", "robot"), None, " ",
                    "flexible-brush closed-form prediction table"),
@@ -166,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         pairs, write = handler(cfg)
         if write is not None:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                write(handle)
+                pairs += write(handle) or []
             pairs.append(("out", args.out))
         _emit(pairs, args.json, separator)
     except (ConfigError, OSError) as exc:

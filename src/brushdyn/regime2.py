@@ -17,14 +17,15 @@ touchdowns from phases fitted in rho = c_g/c_f for a flight from rest, in ~4
 evaluations each (once converged it gallops out of rounding noise), to float
 resolution away from the lift-off threshold; the closed form cancels as rho
 nears 1, so the steady peak is off by 6.4e-10 (relative) at rho = 1 - 1e-4
-and by 11 % at rho = 1 - 1e-8. dt only sets the sampling grid. Limit: this
-holds only while the moments do not depend on theta (fixed moment arms).
+and by 11 % at rho = 1 - 1e-8. dt only sets the sampling grid: ``simulate``
+holds every sample (~2 GB at MAX_GRID_STEPS), ``stream`` yields one at a time.
+Limit: exact only while the moments do not depend on theta (fixed moment arms).
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
 from .params import ValidationError, _require, validated
@@ -34,7 +35,8 @@ MAX_BODY_ANGLE = math.pi / 2.0
 # Flights shorter than this fraction of the forcing period are boundary
 # artifacts (lift-off exactly at the zero-moment point), not real cycles.
 _MIN_FLIGHT_FRACTION = 1e-12
-# Longest window, in grid steps: it bounds the samples.
+# Longest window, in grid steps: it bounds the samples, which ``simulate``
+# holds (~2 GB at this cap) and ``stream`` yields one at a time.
 MAX_GRID_STEPS = 10**7
 
 
@@ -298,6 +300,52 @@ def cycle_peaks(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> tuple
     return peaks
 
 
+def _samples(robot: RobotParams, cfg: SimConfig, flights: list) -> Iterator[Sample]:
+    """The samples of ``simulate`` over ``stream``'s flights, one at a time."""
+    dt, stride, steps = cfg.dt, cfg.record_stride, _steps(cfg)
+    # tuple.__new__ builds each Sample without its Python-level __new__
+    sin, cos, new = math.sin, math.cos, tuple.__new__
+    x, k = 0.0, 0
+    for flight, lift_off, touchdown, peak in flights:
+        # the closed form of _Flight.land, with one sin per sample
+        c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = flight.terms
+        top = math.inf if peak is None else peak
+        while k <= steps and k * dt < lift_off:
+            yield new(Sample, (k * dt, 0.0, 0.0, 0.0, x))
+            k += stride
+        while k <= steps and k * dt < touchdown:
+            t = k * dt
+            k += stride
+            s = t - lift_off
+            phase = psi0 + omega * s
+            sine = sin(phase)
+            theta = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
+            rate = rate0 - force_omega * cos(phase) - c_grav * s
+            theta = 0.0 if theta < 0.0 else theta if theta < top else top
+            yield new(Sample, (t, theta, rate, c_force * sine - c_grav, x))
+        if peak is not None:
+            x += step_displacement(robot, peak)
+            yield new(Sample, (touchdown, 0.0, 0.0, 0.0, x))
+            if k * dt <= touchdown:
+                k += stride  # a touchdown sample already stands here
+    while k <= steps:  # rest through the window end
+        yield new(Sample, (k * dt, 0.0, 0.0, 0.0, x))
+        k += stride
+
+
+def stream(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Regime2Trajectory:
+    """``simulate`` with samples yielded one at a time; it raises what simulate
+    raises before the first. One record per flight: (flight, lift_off,
+    touchdown or inf if airborne at the window end, peak or None if no cycle)."""
+    flights = [(flight, t, t + duration if i < landed else math.inf,
+                peak if i < landed and peak is not None else None)  # counted cycles only
+               for flight, ks, duration, landed, peak in _cycles(robot, motor, cfg)
+               for i, t in enumerate(map(flight.lift_off, ks))]
+    cycles = [(t, down, peak) for _, t, down, peak in flights if peak is not None]
+    return Regime2Trajectory(_samples(robot, cfg, flights), tuple(p for *_, p in cycles),
+                             tuple(FlightEvent(t, down) for t, down, _ in cycles))
+
+
 def simulate(
     robot: RobotParams, motor: MotorParams, cfg: SimConfig
 ) -> Regime2Trajectory:
@@ -315,41 +363,8 @@ def simulate(
     Raises ValidationError when dt or t_end violate the resolution guards
     and ModelDomainError if the body angle reaches pi/2 inside the window.
     """
-    dt, stride, steps = cfg.dt, cfg.record_stride, _steps(cfg)
-    # tuple.__new__ builds each Sample without its Python-level __new__
-    sin, cos, new = math.sin, math.cos, tuple.__new__
-    x, samples, peaks, events, k = 0.0, [], [], [], 0
-    for flight, ks, duration, landed, peak in _cycles(robot, motor, cfg):
-        # the closed form of _Flight.land, with one sin per sample
-        c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = flight.terms
-        for i, lift_off in enumerate(map(flight.lift_off, ks)):
-            counted = i < landed and peak is not None
-            touchdown = lift_off + duration if i < landed else math.inf
-            top = peak if counted else math.inf
-            while k <= steps and k * dt < lift_off:
-                samples.append(new(Sample, (k * dt, 0.0, 0.0, 0.0, x)))
-                k += stride
-            while k <= steps and k * dt < touchdown:
-                t = k * dt
-                k += stride
-                s = t - lift_off
-                phase = psi0 + omega * s
-                sine = sin(phase)
-                theta = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
-                rate = rate0 - force_omega * cos(phase) - c_grav * s
-                theta = 0.0 if theta < 0.0 else theta if theta < top else top
-                samples.append(new(Sample, (t, theta, rate, c_force * sine - c_grav, x)))
-            if counted:
-                x += step_displacement(robot, peak)
-                samples.append(new(Sample, (touchdown, 0.0, 0.0, 0.0, x)))
-                peaks.append(peak)
-                events.append(FlightEvent(lift_off, touchdown))
-                if k * dt <= touchdown:
-                    k += stride  # a touchdown sample already stands here
-    while k <= steps:  # rest through the window end
-        samples.append(new(Sample, (k * dt, 0.0, 0.0, 0.0, x)))
-        k += stride
-    return Regime2Trajectory(tuple(samples), tuple(peaks), tuple(events))
+    traj = stream(robot, motor, cfg)
+    return traj._replace(samples=tuple(traj.samples))
 
 
 def steady_peak(peaks: Sequence[float]) -> float:

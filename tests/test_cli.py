@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,8 @@ def sweep_summary(out, form):
 
 
 ROOT = Path(__file__).resolve().parent.parent
+# an --out file from an earlier run, which a run that fails must leave as is
+EARLIER_OUT = b"t th thdot thddot x\n0.0 0.0 0.0 0.0 0.0\n"
 SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
@@ -389,11 +392,44 @@ class TestSimulateR2:
             "motor": dict(eccentric_mass="0.01", eccentricity="0.01", speed="300"),
         }
         path = write_config(tmp_path, sections)
-        code, _, err = run_cli(
-            capsys, ["simulate-r2", "--config", path, "--out", str(tmp_path / "t.txt")]
+        out_path = tmp_path / "t.txt"
+        out_path.write_bytes(EARLIER_OUT)
+        code, out, err = run_cli(
+            capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
         )
         assert code == 4
         assert "model domain" in err
+        assert out == ""
+        assert out_path.read_bytes() == EARLIER_OUT  # found before --out opened
+
+    def test_dt_above_a_200th_period_exits_2(self, tmp_path, capsys):
+        sections = {**FULL, "sim": {**SIM_SECTION, "dt": "2e-4"}}
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "t.txt"
+        out_path.write_bytes(EARLIER_OUT)
+        code, out, err = run_cli(
+            capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: dt 0.0002 exceeds T/200 = 0.00010472 s\n"
+        assert out_path.read_bytes() == EARLIER_OUT
+
+    def test_writes_in_constant_memory(self, tmp_path, capsys):
+        # 50,000 samples: holding them all would take ~8 MB
+        sections = {**FULL, "sim": {**SIM_SECTION, "dt": "1e-5"}}
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "traj.txt"
+        tracemalloc.start()
+        try:
+            code = main(["simulate-r2", "--config", path, "--out", str(out_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert len(out_path.read_bytes().splitlines()) == 1 + 50_000 + 1 + 12
+        assert peak < 1_000_000
 
 
 class TestClassify:
@@ -601,7 +637,7 @@ class TestPipeline:
         argv = [command, "--config", config, "--json"]
         if write is not None:
             body = io.StringIO()
-            write(body)
+            pairs += write(body) or []  # pairs measured from what it wrote
             out_path = tmp_path / "out.txt"
             argv += ["--out", str(out_path)]
             pairs.append(("out", str(out_path)))
@@ -799,13 +835,14 @@ class TestNonFiniteValues:
         sections = {**FULL, "sim": {**SIM_SECTION, "t_end": "1e300"}}
         path = write_config(tmp_path, sections)
         out_path = tmp_path / "traj.txt"
+        out_path.write_bytes(EARLIER_OUT)
         code, out, err = run_cli(
             capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
         )
         assert code == 2
         assert out == ""
         assert err == "error: t_end / dt exceeds 1e+07 grid steps\n"
-        assert not out_path.exists()
+        assert out_path.read_bytes() == EARLIER_OUT
 
     def test_huge_window_sweep_rows_are_invalid(self, tmp_path, capsys):
         sections = {
