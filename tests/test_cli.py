@@ -1064,6 +1064,7 @@ class TestFuzz:
     }
     BAD = ("nan", "inf", "-inf", "1e300", "1e-300", "-1e300", "1e400", "", "-1", "0")
     HUGE_WINDOWS = (("t_end", "1e300"), ("t_end", "1e12"), ("dt", "1e-300"))
+    SEED, CONFIGS = 2024, 160
 
     @classmethod
     def malformed(cls, rng) -> bytes:
@@ -1092,13 +1093,18 @@ class TestFuzz:
         )
         return text.encode("utf-8", "surrogateescape")
 
+    @classmethod
+    def corpus(cls) -> tuple[bytes, ...]:
+        """The seeded malformed configs, in order (digests.py replays them too)."""
+        rng = np.random.default_rng(cls.SEED)
+        return tuple(cls.malformed(rng) for _ in range(cls.CONFIGS))
+
     def test_malformed_configs_end_in_documented_exit_codes(self, tmp_path, capsys):
-        rng = np.random.default_rng(2024)
         path = tmp_path / "fuzz.cfg"
         out = str(tmp_path / "out.txt")
         codes = []
-        for index in range(160):
-            path.write_bytes(self.malformed(rng))
+        for index, config in enumerate(self.corpus()):
+            path.write_bytes(config)
             for command in ("predict-r1", "classify", "simulate-r2", "sweep"):
                 argv = [command, "--config", str(path)]
                 if command in ("simulate-r2", "sweep"):

@@ -2,14 +2,14 @@
 
 import json
 
-from digests import FILE, replay
-
-FIELDS = ("exit", "stdout", "stderr", "out")
+from digests import FIELDS, FILE, replay
 
 
 def test_every_recorded_run_gives_its_recorded_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     recorded = json.loads(FILE.read_text(encoding="utf-8"))
-    assert len(recorded) == 16 + 6 + 3  # shipped configs, bench draws, edge configs
+    # shipped configs, trajectory draws, edge configs, v_r_regime2 sweeps
+    # (reference grid, r2_sweep draws), TestFuzz corpus per command
+    assert len(recorded) == 16 + 6 + 3 + 2 + 12 + 8
     expected = {name: {key: run[key] for key in FIELDS} for name, run in recorded.items()}
     assert {name: replay(run) for name, run in recorded.items()} == expected
