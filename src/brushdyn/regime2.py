@@ -7,7 +7,8 @@ are reset to zero and the body stays glued to the ground until the net moment
 next rises through zero. The rising-edge trigger (rather than releasing the
 instant the moment is positive) keeps impact chains from re-launching at a
 drifting phase, so the stick-slip pattern locks to the forcing. Each completed
-lift-off/touchdown cycle advances the robot by h*sin(peak angle of that cycle).
+lift-off/touchdown cycle advances the robot by h*sin(peak angle of that cycle),
+so the steady speed is h*sin(peak)/(n*T): one hop from rest per n periods.
 
 The solver is exact and event-driven: theta_ddot = c_f*sin(omega*t) - c_g
 depends on time only, so flights have a closed form, and every lift-off from
@@ -25,7 +26,7 @@ Limit: exact only while the moments do not depend on theta (fixed moment arms).
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
 from .params import ValidationError, _require, validated
@@ -291,15 +292,6 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     return runs + [(flight, range(k, k + flights * step, step), duration, landed, peak)]
 
 
-def cycle_peaks(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> tuple:
-    """``simulate(robot, motor, cfg).cycle_peaks`` without sampling the flights."""
-    peaks = ()
-    for *_, landed, peak in _cycles(robot, motor, cfg):  # each landed flight has its peak
-        if peak is not None:
-            peaks += (peak,) * landed
-    return peaks
-
-
 def _samples(robot: RobotParams, cfg: SimConfig, flights: list) -> Iterator[Sample]:
     """The samples of ``simulate`` over ``stream``'s flights, one at a time."""
     dt, stride, steps = cfg.dt, cfg.record_stride, _steps(cfg)
@@ -367,32 +359,28 @@ def simulate(
     return traj._replace(samples=tuple(traj.samples))
 
 
-def steady_peak(peaks: Sequence[float]) -> float:
-    """Largest of the steady cycle peaks (the last half of them)."""
-    if not peaks:
-        raise NoCompletedCycleError(
-            "trajectory has no completed lift-off/touchdown cycle"
-        )
-    return max(peaks[len(peaks) // 2:])
-
-
 def peak_angle(traj: Regime2Trajectory) -> float:
-    """Largest cycle peak over the steady portion (last half of the cycles)."""
-    return steady_peak(traj.cycle_peaks)
-
-
-def _check_peak_domain(theta_hat: float) -> None:
-    if not 0.0 <= theta_hat < MAX_BODY_ANGLE:
-        raise ValidationError("theta_hat out of [0, pi/2)")
+    """The steady cycle peak, the last one's: flights from rest share one peak,
+    and a first flight from theta0 > 0 is the last cycle only when alone."""
+    if not traj.cycle_peaks:
+        raise NoCompletedCycleError("trajectory has no completed lift-off/touchdown cycle")
+    return traj.cycle_peaks[-1]
 
 
 def step_displacement(robot: RobotParams, theta_hat: float) -> float:
     """Forward step per cycle, delta = h*sin(theta_hat)."""
-    _check_peak_domain(theta_hat)
+    _require(0.0 <= theta_hat < MAX_BODY_ANGLE, "theta_hat out of [0, pi/2)")
     return robot.step_height * math.sin(theta_hat)
 
 
-def ground_speed(robot: RobotParams, motor: MotorParams, theta_hat: float) -> float:
-    """Small-angle speed estimate, v_r = omega*h*theta_hat/(2*pi)."""
-    _check_peak_domain(theta_hat)
-    return motor.speed * robot.step_height * theta_hat / (2.0 * math.pi)
+def steady_speed(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> float:
+    """h*sin(peak)/(n*T), the steady speed ``simulate`` implies: one step of
+    the flight from rest per hop of n = ceil(duration*omega/(2*pi)) periods,
+    without sampling. Raises what simulate raises, and NoCompletedCycleError
+    when no flight from rest lands inside the window."""
+    runs = _cycles(robot, motor, cfg)
+    if len(runs) > (cfg.theta0 > 0.0):  # the last run lifts off from rest
+        _, ks, _, landed, peak = runs[-1]
+        if landed and peak is not None:
+            return step_displacement(robot, peak) / (ks.step * motor.period)
+    raise NoCompletedCycleError("no flight from rest lands inside the window")

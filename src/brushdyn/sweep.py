@@ -68,15 +68,10 @@ PARAMETERS: dict[str, tuple[Callable[[float], bool], Callable]] = {
 }
 
 
-def _v_r_regime2(brush, motor, robot, sim) -> float:
-    peaks = regime2.cycle_peaks(robot, motor, sim)
-    return regime2.ground_speed(robot, motor, regime2.steady_peak(peaks))
-
-
 # Objective name -> f(brush, motor, robot, sim).
 OBJECTIVES: dict[str, Callable[..., float]] = {
     "v_r_regime1": lambda b, m, *_: regime1.ground_speed(b, m),
-    "v_r_regime2": _v_r_regime2,
+    "v_r_regime2": lambda b, m, r, s: regime2.steady_speed(r, m, s),
     "forced_amplitude_abs": lambda b, m, *_: abs(regime1.forced_amplitude(b, m)),
     "k_theta": lambda b, *_: regime1.lumped_stiffness(b),
 }

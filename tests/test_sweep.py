@@ -177,62 +177,67 @@ class TestRunSweep:
         assert result.rows[0].status == STATUS_INVALID
         assert result.rows[1].status == STATUS_OK
 
-    def test_regime2_objective_equals_simulate(self, brush):
-        # the sweep objective skips the trajectory but must give the same
-        # number, bit for bit, or fail with the same exception
+    def test_regime2_objective_is_the_steady_hop_of_simulate(self, brush):
+        # v_r_regime2 is the speed simulate implies: h*sin(peak) per hop from
+        # rest, over the time between the last two lift-offs from rest in its
+        # events, on robots that hop once every n = 1 to 50 forcing periods
         rng = np.random.default_rng(31)
-        robot = reference_robot()
-        lift = math.sqrt(
-            robot.weight * robot.gravity_arm / (1e-3 * 2e-3 * robot.forcing_arm)
-        )
-        runaway = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04)
-        cases = [
-            (robot, MotorParams(1e-3, 2e-3, 0.9 * lift), 0.0),  # below lift-off
-            (runaway, MotorParams(0.01, 0.01, 300.0), 0.0),  # tips over
-            (robot, reference_motor(), 0.2),  # first flight from theta0 > 0
-        ]
-        for _ in range(20):
+        objective = OBJECTIVES["v_r_regime2"]
+        robot, motor = reference_robot(), reference_motor()
+        # the reference window, and the same with its last flight airborne
+        cases = [(robot, motor, SimConfig(0.5, 1e-4)), (robot, motor, SimConfig(0.47, 1e-4))]
+        for index in range(60):
             drawn = RobotParams(
-                body_mass=10 ** rng.uniform(-2.0, -0.5),
-                pivot_inertia=10 ** rng.uniform(-5.5, -4.0),
-                forcing_arm=rng.uniform(0.01, 0.06),
-                gravity_arm=rng.uniform(0.0, 0.008),
+                body_mass=0.05 * rng.uniform(0.5, 2.0),
+                pivot_inertia=2e-5 * rng.uniform(0.5, 2.0),
+                forcing_arm=0.03 * rng.uniform(0.5, 2.0),
+                gravity_arm=0.003 * rng.uniform(0.5, 2.0),
                 step_height=rng.uniform(0.01, 0.08),
             )
-            motor = MotorParams(
-                10 ** rng.uniform(-3.5, -2.5), 10 ** rng.uniform(-3.2, -2.2),
-                rng.uniform(150.0, 600.0),
-            )
-            theta0 = rng.uniform(0.0, 0.3) if rng.random() < 0.3 else 0.0
-            cases.append((drawn, motor, theta0))
+            # the speed that puts rho = c_g/c_f at a draw; a hop takes about
+            # 0.33/rho periods below rho = 0.3, one above
+            rho = 10 ** rng.uniform(math.log10(0.0062), math.log10(0.6))
+            moments = drawn.weight * drawn.gravity_arm / (1e-3 * 2e-3 * drawn.forcing_arm)
+            drawn_motor = MotorParams(1e-3, 2e-3, math.sqrt(moments / rho))
+            period = drawn_motor.period
+            theta0 = rng.uniform(0.001, 0.05) if index % 3 == 0 else 0.0
+            window = SimConfig((1.2 / rho + 6.0) * period, period / 200.0, theta0, 50)
+            cases.append((drawn, drawn_motor, window))
+        hops = set()
+        for drawn, drawn_motor, window in cases:
+            traj = regime2.simulate(drawn, drawn_motor, window)
+            rest = traj.events[window.theta0 > 0.0:]
+            gap = rest[-1].lift_off_time - rest[-2].lift_off_time
+            expected = drawn.step_height * math.sin(traj.cycle_peaks[-1]) / gap
+            got = objective(brush, drawn_motor, drawn, window)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0), window
+            hops.add(round(gap / drawn_motor.period))
+        assert min(hops) == 1 and max(hops) >= 50
 
-        def outcome(f):
-            try:
-                return f()
-            except Exception as exc:  # noqa: BLE001 - compared by class
-                return type(exc)
-
-        seen = set()
-        for robot, motor, theta0 in cases:
-            period = motor.period
-            sim = SimConfig(
-                t_end=period * rng.uniform(5.0, 12.0),
-                dt=period / rng.uniform(200.0, 400.0),
-                theta0=theta0,
-            )
-            expected = outcome(
-                lambda: regime2.ground_speed(
-                    robot,
-                    motor,
-                    regime2.peak_angle(regime2.simulate(robot, motor, sim)),
-                )
-            )
-            got = outcome(lambda: OBJECTIVES["v_r_regime2"](brush, motor, robot, sim))
-            assert repr(got) == repr(expected)
-            seen.add(expected if isinstance(expected, type) else float)
-        assert seen >= {
-            float, regime2.NoCompletedCycleError, regime2.ModelDomainError
-        }
+    def test_regime2_objective_needs_a_landed_hop_from_rest(self, brush):
+        # TestWindow's tilted flight lands alone; over 5.5 periods the flight
+        # from rest after it is airborne at the window end: no steady hop,
+        # though simulate counts the tilted flight as a cycle
+        objective = OBJECTIVES["v_r_regime2"]
+        robot, motor = reference_robot(), reference_motor()
+        period = motor.period
+        for periods in (5.0, 5.5):
+            window = SimConfig(periods * period, period / 400.0, 0.2)
+            traj = regime2.simulate(robot, motor, window)
+            assert len(traj.events) == 1 and (traj.samples[-1].theta > 0.0) == (periods > 5.0)
+            with pytest.raises(regime2.NoCompletedCycleError):
+                objective(brush, motor, robot, window)
+            result = run_sweep(SweepSpec("omega", "v_r_regime2", (motor.speed,)),
+                               brush, motor, robot, window)
+            assert result.rows == ((motor.speed, None, STATUS_NO_CYCLES),)
+        lift = math.sqrt(robot.weight * robot.gravity_arm / (1e-3 * 2e-3 * robot.forcing_arm))
+        with pytest.raises(regime2.NoCompletedCycleError):  # below lift-off
+            objective(brush, MotorParams(1e-3, 2e-3, 0.9 * lift), robot, SimConfig(0.5, 1e-4))
+        runaway, violent = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04), MotorParams(0.01, 0.01, 300.0)
+        with pytest.raises(regime2.ModelDomainError):  # tips over, as in simulate
+            regime2.simulate(runaway, violent, SimConfig(0.5, 1e-4))
+        with pytest.raises(regime2.ModelDomainError):
+            objective(brush, violent, runaway, SimConfig(0.5, 1e-4))
 
     def test_regime2_objective_needs_robot_and_sim(self, brush, motor):
         spec = SweepSpec("omega", "v_r_regime2", (100.0, 300.0))
