@@ -83,12 +83,12 @@ def replay(run: dict) -> dict:
     return record(run["argv"], str(ROOT / run["config"]) if "config" in run else CONFIG)
 
 
-def r2_sweep_configs(bench) -> list[str]:
-    """The draws of the r2_sweep benchmark (bench/run.py), seed 1, as config
-    text: the shipped brush, each draw's robot, motor and window, and its
-    omega grid."""
+def r2_sweep_configs(bench, seed: int) -> list[str]:
+    """The draws of the r2_sweep benchmark (bench/run.py) for one seed, as
+    config text: the shipped brush, each draw's robot, motor and window, and
+    its omega grid."""
     pkg = {"params": params, "regime2": regime2, "sweep": sweep}
-    draws = bench.R2Sweep(pkg, 1)
+    draws = bench.R2Sweep(pkg, seed)
     texts = []
     for spec, robot, motor, sim in draws.draws:
         sections = {name: {k: repr(v) for k, v in values._asdict().items()}
@@ -134,16 +134,22 @@ def runs() -> dict[str, dict]:
         }
 
     # v_r_regime2 sweeps: the reference grid with that objective, and the
-    # r2_sweep benchmark's draws
+    # r2_sweep benchmark's draws of seed 1, in both forms
     sweeps = {"reference.cfg": reference.replace("objective = forced_amplitude_abs",
                                                  "objective = v_r_regime2")}
     assert sweeps["reference.cfg"] != reference
-    for index, text in enumerate(r2_sweep_configs(bench)):
+    for index, text in enumerate(r2_sweep_configs(bench, 1)):
         sweeps[f"r2_sweep seed 1 draw {index}"] = text
     for name, text in sweeps.items():
         for form in FORMS:
             table[" ".join(["sweep v_r_regime2", name, *form])] = {
                 "text": text, "argv": ["sweep", "--out", OUT, *form]}
+    # and of seeds 2-6 in table form only: --json prints the same rows and
+    # argmax as the table, and the CSV is the same file
+    for seed in range(2, 7):
+        for index, text in enumerate(r2_sweep_configs(bench, seed)):
+            table[f"sweep v_r_regime2 r2_sweep seed {seed} draw {index}"] = {
+                "text": text, "argv": ["sweep", "--out", OUT]}
 
     # the seeded malformed configs of TestFuzz, one record per command
     for command in COMMANDS:
