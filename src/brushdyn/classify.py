@@ -59,11 +59,12 @@ def classify(
     stiffness_score = motor.speed / omega_n
     alpha_margin = math.pi / 2.0 - brush.inclination
 
+    lifts = lift_ratio > 1.0
     fast_drive = stiffness_score > 1.0 + BANDWIDTH_MARGIN
     near_vertical = alpha_margin < ALPHA_MARGIN_LIMIT
 
     rationale = []
-    if lift_ratio > 1.0:
+    if lifts:
         rationale.append(
             f"lift ratio {lift_ratio:.6g} > 1: peak centrifugal force exceeds "
             f"the robot weight, ground contact is lost"
@@ -89,7 +90,7 @@ def classify(
             f"vertical: near-straight brushes favor rigid rotation"
         )
 
-    if lift_ratio > 1.0:
+    if lifts:
         regime = Regime.REGIME_II
     elif fast_drive or near_vertical:
         regime = Regime.TRANSITIONAL

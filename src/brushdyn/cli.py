@@ -99,13 +99,9 @@ def cmd_simulate_r2(cfg: RunConfig) -> tuple:
 
 def cmd_classify(cfg: RunConfig) -> tuple:
     report = classify_mod.classify(cfg.brush, cfg.motor, cfg.robot)
-    return [
-        ("regime", report.regime.value),
-        ("lift_ratio", report.lift_ratio),
-        ("stiffness_score", report.stiffness_score),
-        ("alpha_margin", report.alpha_margin),
-        ("rationale", list(report.rationale)),
-    ], None
+    pairs = report._asdict()
+    pairs.update(regime=report.regime.value, rationale=list(report.rationale))
+    return list(pairs.items()), None
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple:
@@ -177,7 +173,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {label}{exc.args[-1]}", file=sys.stderr)  # not an errno tuple
         return code
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -265,9 +265,8 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     runs, at_rest = [], 0.0
     if cfg.theta0 > 0.0:
         flight = _Flight(c_force, c_grav, omega, cfg.theta0)
-        duration, peak = flight.land(0.0, end)
-        at_rest = duration if duration <= end else math.inf
-        runs.append((flight, range(1), duration, int(at_rest < math.inf), peak))
+        at_rest, peak = flight.land(0.0, end)  # a touchdown is at most end
+        runs.append((flight, range(1), at_rest, int(at_rest < math.inf), peak))
     if not (c_grav < c_force and at_rest < end):
         return runs  # no lift-off from rest inside the window
 

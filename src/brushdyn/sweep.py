@@ -86,16 +86,12 @@ class SweepSpec(NamedTuple):
     grid: tuple[float, ...]
 
     def _check(self) -> None:
-        if self.parameter not in PARAMETERS:
-            raise ValidationError(
-                f"unknown sweep parameter {self.parameter!r}; "
-                f"expected one of {', '.join(PARAMETERS)}"
-            )
-        if self.objective not in OBJECTIVES:
-            raise ValidationError(
-                f"unknown sweep objective {self.objective!r}; "
-                f"expected one of {', '.join(OBJECTIVES)}"
-            )
+        for kind, name, known in (("parameter", self.parameter, PARAMETERS),
+                                  ("objective", self.objective, OBJECTIVES)):
+            if name not in known:
+                raise ValidationError(
+                    f"unknown sweep {kind} {name!r}; expected one of {', '.join(known)}"
+                )
         if len(self.grid) < 1:
             raise ValidationError("sweep grid must contain at least one value")
         domain, _ = PARAMETERS[self.parameter]

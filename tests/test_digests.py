@@ -12,6 +12,6 @@ def test_every_recorded_run_gives_its_recorded_bytes(tmp_path, monkeypatch):
     # (reference grid, r2_sweep draws of seed 1 in both forms and of seeds
     # 2-6 in table form), TestFuzz corpus per command
     assert len(recorded) == 16 + 6 + 3 + 2 + 12 + 30 + 8
-    moved = [name for name, run in recorded.items()
-             if replay(run) != {key: run[key] for key in FIELDS}]
-    assert sorted(moved) == []
+    moved = sorted(name for name, run in recorded.items()
+                   if replay(run) != {key: run[key] for key in FIELDS})
+    assert not moved, moved
