@@ -10,7 +10,8 @@ config produces byte-identical results on every run.
 `cmd_*` handler reads only the config and prints nothing), write `--out`
 if the command takes it (the writer may return pairs measured from what it
 wrote), print to stdout. A run that fails before the write leaves `--out`
-untouched. `simulate-r2` writes samples as `regime2.stream` yields them.
+untouched. `simulate-r2` writes each block of at most `regime2._BLOCK`
+samples as `regime2.stream` yields it.
 """
 
 from __future__ import annotations
@@ -82,13 +83,16 @@ def cmd_simulate_r2(cfg: RunConfig) -> tuple:
 
     def write(handle) -> list:
         handle.write(TRAJECTORY_HEADER + "\n")
-        # x changes only at touchdowns, so its text is formatted once per cycle.
-        last_x = x_text = None
-        for t, theta, theta_dot, theta_ddot, x in traj.samples:
-            if x != last_x:
-                last_x, x_text = x, repr(x)
-            handle.write(f"{t!r} {theta!r} {theta_dot!r} {theta_ddot!r} {x_text}\n")
-        return [("mean_v_r", x / t if t > 0.0 else 0.0)]  # of the last sample
+        for t, theta, theta_dot, theta_ddot, x in traj.samples:  # one write per block
+            if theta is None:  # at rest
+                end = f" 0.0 0.0 0.0 {x!r}\n"
+                handle.write(end.join(map(repr, t)) + end)
+            else:
+                end = f" {x!r}\n"
+                handle.write("".join([f"{a!r} {b!r} {c!r} {d!r}{end}"
+                                      for a, b, c, d in zip(t, theta, theta_dot, theta_ddot)]))
+        t = t[-1]  # the last sample's
+        return [("mean_v_r", x / t if t > 0.0 else 0.0)]
 
     cycles = len(traj.cycle_peaks)
     return [

@@ -19,13 +19,16 @@ evaluations each (once converged it gallops out of rounding noise), to float
 resolution away from the lift-off threshold; the closed form cancels as rho
 nears 1, so the steady peak is off by 6.4e-10 (relative) at rho = 1 - 1e-4
 and by 11 % at rho = 1 - 1e-8. dt only sets the sampling grid: ``simulate``
-holds every sample (~2 GB at MAX_GRID_STEPS), ``stream`` yields one at a time.
-Limit: exact only while the moments do not depend on theta (fixed moment arms).
+holds every sample (~2 GB at MAX_GRID_STEPS), ``stream`` yields one block of at
+most _BLOCK samples at a time. Limit: exact only while the moments do not
+depend on theta (fixed moment arms).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
@@ -37,8 +40,9 @@ MAX_BODY_ANGLE = math.pi / 2.0
 # artifacts (lift-off exactly at the zero-moment point), not real cycles.
 _MIN_FLIGHT_FRACTION = 1e-12
 # Longest window, in grid steps: it bounds the samples, which ``simulate``
-# holds (~2 GB at this cap) and ``stream`` yields one at a time.
+# holds (~2 GB at this cap) and ``stream`` yields in blocks of at most _BLOCK.
 MAX_GRID_STEPS = 10**7
+_BLOCK = 128  # most samples in one block of ``stream``
 
 
 class NoCompletedCycleError(ValueError):
@@ -90,7 +94,7 @@ class FlightEvent(NamedTuple):
 class Regime2Trajectory(NamedTuple):
     """Sampled hybrid trajectory plus per-cycle bookkeeping.
 
-    samples      time-ordered (t, theta, theta_dot, theta_ddot, x)
+    samples      time-ordered (t, theta, theta_dot, theta_ddot, x), in blocks from stream
     cycle_peaks  peak angle of each completed flight, rad
     events       (lift_off_time, touchdown_time) of each completed flight
     """
@@ -291,49 +295,65 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     return runs + [(flight, range(k, k + flights * step, step), duration, landed, peak)]
 
 
-def _samples(robot: RobotParams, cfg: SimConfig, flights: list) -> Iterator[Sample]:
-    """The samples of ``simulate`` over ``stream``'s flights, one at a time."""
-    dt, stride, steps = cfg.dt, cfg.record_stride, _steps(cfg)
-    # tuple.__new__ builds each Sample without its Python-level __new__
-    sin, cos, new = math.sin, math.cos, tuple.__new__
-    x, k = 0.0, 0
+def _blocks(robot: RobotParams, cfg: SimConfig, flights: list) -> Iterator[tuple]:
+    """The samples of ``simulate`` over ``stream``'s flights, in blocks of at
+    most _BLOCK consecutive ones of one x as columns (t, theta, theta_dot,
+    theta_ddot, x): lists, and the float x; the angle columns are None at
+    rest, where all three are 0.0."""
+    dt, stride, stop = cfg.dt, cfg.record_stride, _steps(cfg) + 1
+    sin, cos = math.sin, math.cos
+    k = 0
+
+    def grid(end: float) -> Iterator[list]:
+        """Non-empty blocks of the grid times from t_k up to before end."""
+        nonlocal k
+        while k < stop:
+            t = [j * dt for j in range(k, min(k + _BLOCK * stride, stop), stride)]
+            n = bisect_left(t, end)
+            if n:
+                k += n * stride
+                yield t[:n]
+            if n < len(t):
+                return
+
+    x = 0.0
     for flight, lift_off, touchdown, peak in flights:
+        for t in grid(lift_off):
+            yield t, None, None, None, x
         # the closed form of _Flight.land, with one sin per sample
         c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = flight.terms
         top = math.inf if peak is None else peak
-        while k <= steps and k * dt < lift_off:
-            yield new(Sample, (k * dt, 0.0, 0.0, 0.0, x))
-            k += stride
-        while k <= steps and k * dt < touchdown:
-            t = k * dt
-            k += stride
-            s = t - lift_off
-            phase = psi0 + omega * s
-            sine = sin(phase)
-            theta = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
-            rate = rate0 - force_omega * cos(phase) - c_grav * s
-            theta = 0.0 if theta < 0.0 else theta if theta < top else top
-            yield new(Sample, (t, theta, rate, c_force * sine - c_grav, x))
+        for t in grid(touchdown):
+            theta, rate, accel = [], [], []
+            for s in t:
+                s -= lift_off
+                phase = psi0 + omega * s
+                sine = sin(phase)
+                angle = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
+                theta.append(0.0 if angle < 0.0 else angle if angle < top else top)
+                rate.append(rate0 - force_omega * cos(phase) - c_grav * s)
+                accel.append(c_force * sine - c_grav)
+            yield t, theta, rate, accel, x
         if peak is not None:
             x += step_displacement(robot, peak)
-            yield new(Sample, (touchdown, 0.0, 0.0, 0.0, x))
+            yield [touchdown], None, None, None, x
             if k * dt <= touchdown:
                 k += stride  # a touchdown sample already stands here
-    while k <= steps:  # rest through the window end
-        yield new(Sample, (k * dt, 0.0, 0.0, 0.0, x))
-        k += stride
+    for t in grid(math.inf):  # rest through the window end
+        yield t, None, None, None, x
 
 
 def stream(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Regime2Trajectory:
-    """``simulate`` with samples yielded one at a time; it raises what simulate
-    raises before the first. One record per flight: (flight, lift_off,
-    touchdown or inf if airborne at the window end, peak or None if no cycle)."""
+    """``simulate`` with samples yielded one block of at most _BLOCK at a time,
+    laid out as _blocks says; it raises what simulate raises before the first.
+    One record per flight: (flight, lift_off, touchdown or inf if airborne at
+    the window end, peak or None if no cycle)."""
     flights = [(flight, t, t + duration if i < landed else math.inf,
                 peak if i < landed and peak is not None else None)  # counted cycles only
                for flight, ks, duration, landed, peak in _cycles(robot, motor, cfg)
                for i, t in enumerate(map(flight.lift_off, ks))]
     cycles = [(t, down, peak) for _, t, down, peak in flights if peak is not None]
-    return Regime2Trajectory(_samples(robot, cfg, flights), tuple(p for *_, p in cycles),
+    return Regime2Trajectory(_blocks(robot, cfg, flights), tuple(p for *_, p in cycles),
                              tuple(FlightEvent(t, down) for t, down, _ in cycles))
 
 
@@ -354,8 +374,11 @@ def simulate(
     Raises ValidationError when dt or t_end violate the resolution guards
     and ModelDomainError if the body angle reaches pi/2 inside the window.
     """
-    traj = stream(robot, motor, cfg)
-    return traj._replace(samples=tuple(traj.samples))
+    traj, zero = stream(robot, motor, cfg), repeat(0.0)
+    rows = chain.from_iterable(zip(t, theta or zero, rate or zero, accel or zero, repeat(x))
+                               for t, theta, rate, accel, x in traj.samples)
+    # tuple.__new__ builds each Sample without its Python-level __new__
+    return traj._replace(samples=tuple(map(tuple.__new__, repeat(Sample), rows)))
 
 
 def peak_angle(traj: Regime2Trajectory) -> float:

@@ -431,6 +431,88 @@ class TestSimulateR2:
         assert len(out_path.read_bytes().splitlines()) == 1 + 50_000 + 1 + 12
         assert peak < 1_000_000
 
+    @staticmethod
+    def block_windows():
+        """(robot, motor, cfg) windows: 210 seeded draws with strides 1, 7
+        and one longer than a block, every fourth tilted and every tenth too
+        weak to lift, then three built so that a full block ends right at the
+        first lift-off, at the first touchdown and at the window end."""
+        rng = np.random.default_rng(2020)
+        for index in range(210):
+            robot = RobotParams(0.05 * rng.uniform(0.5, 2.0), 2e-5 * rng.uniform(0.5, 2.0),
+                                0.03 * rng.uniform(0.5, 2.0), 0.003 * rng.uniform(0.5, 2.0),
+                                0.04)
+            # the speed that puts rho = c_g/c_f at a draw; above 1 it never lifts
+            rho = rng.uniform(1.1, 3.0) if index % 10 == 9 else rng.uniform(0.1, 0.9)
+            ratio = robot.weight * robot.gravity_arm / (1e-3 * 2e-3 * robot.forcing_arm)
+            motor = MotorParams(1e-3, 2e-3, math.sqrt(ratio / rho))
+            theta0 = rng.uniform(0.001, 0.05) if index % 4 == 1 else 0.0
+            stride = (1, 7, regime2._BLOCK + 1)[index % 3]
+            yield robot, motor, SimConfig(rng.uniform(5.0, 7.0) * motor.period,
+                                          motor.period / 200.0 / rng.uniform(1.0, 2.0),
+                                          theta0, stride)
+        robot, motor = RobotParams(0.05, 2e-5, 0.03, 0.003, 0.04), MotorParams(1e-3, 2e-3, 300.0)
+        period, block = motor.period, regime2._BLOCK
+        flight = regime2.simulate(robot, motor, SimConfig(5.5 * period, period / 200.0)).events[0]
+        lift_off, touchdown = flight
+        # lift-off and touchdown times do not depend on dt: block samples at
+        # rest before the lift-off, and a multiple of block in its flight
+        yield robot, motor, SimConfig(5.2 * period, lift_off / (block - 0.5))
+        blocks = math.ceil((touchdown - lift_off) / (period / 200.0) / block)
+        for shift in range(-8, 9):
+            dt = (touchdown - lift_off) / (blocks * block + shift / 16.0)
+            in_flight = sum(lift_off <= k * dt < touchdown
+                            for k in range(math.ceil(touchdown / dt) + 1))
+            if in_flight == blocks * block:
+                break
+        yield robot, motor, SimConfig(5.2 * period, dt)
+        weak = MotorParams(1e-3, 2e-3, 100.0)
+        dt = weak.period / 200.0
+        yield robot, weak, SimConfig((-(-1001 // block) * block - 0.5) * dt, dt)
+
+    def test_block_writer_matches_per_sample_formatting(self, tmp_path, capsys):
+        # the --out bytes against each Sample of simulate formatted on its own,
+        # and the invariants of the blocks stream yields
+        block, header = regime2._BLOCK, "t th thdot thddot x\n"
+        full_at, mid_flight, grounded, tilted = set(), 0, 0, 0
+        path, out_path = tmp_path / "run.cfg", tmp_path / "traj.txt"
+        for robot, motor, sim in self.block_windows():
+            sections = {"robot": robot, "motor": motor, "sim": sim}
+            path.write_text(config_text({name: {key: repr(value) for key, value in
+                                                record._asdict().items()}
+                                         for name, record in sections.items()}),
+                            encoding="utf-8")
+            code = main(["simulate-r2", "--config", str(path), "--out", str(out_path)])
+            capsys.readouterr()
+            traj = regime2.simulate(robot, motor, sim)
+            expected = header + "".join(
+                f"{t!r} {theta!r} {theta_dot!r} {theta_ddot!r} {x!r}\n"
+                for t, theta, theta_dot, theta_ddot, x in traj.samples
+            )
+            assert code == 0 and out_path.read_bytes() == expected.encode("utf-8"), sim
+
+            blocks = list(regime2.stream(robot, motor, sim).samples)
+            last = -math.inf
+            for index, (t, *angles, x) in enumerate(blocks):
+                assert 0 < len(t) <= block and isinstance(x, float)
+                assert all(a < b for a, b in zip([last] + t, t))
+                last = t[-1]
+                if angles[0] is None:  # at rest: outside every counted flight
+                    assert angles == [None] * 3
+                    assert not any(lift_off <= u < touchdown
+                                   for lift_off, touchdown in traj.events for u in t)
+                else:
+                    assert all(len(column) == len(t) for column in angles)
+                after = blocks[index + 1][1] if index + 1 < len(blocks) else "end"
+                if len(t) == block and (angles[0] is None) != (after is None):
+                    full_at.add("end" if after == "end" else
+                                "lift-off" if angles[0] is None else "touchdown")
+            mid_flight += blocks[-1][1] is not None
+            grounded += not traj.events
+            tilted += sim.theta0 > 0.0
+        assert full_at == {"lift-off", "touchdown", "end"}
+        assert mid_flight >= 10 and grounded >= 10 and tilted >= 50
+
 
 class TestClassify:
     def test_rigid_regime_line(self, tmp_path, capsys):
