@@ -94,7 +94,7 @@ def cmd_simulate_r2(cfg: RunConfig) -> tuple:
         t = t[-1]  # the last sample's
         return [("mean_v_r", x / t if t > 0.0 else 0.0)]
 
-    cycles = len(traj.cycle_peaks)
+    cycles = len(traj.cycles)
     return [
         ("cycles", cycles),
         ("peak_angle", regime2.peak_angle(traj) if cycles else None),

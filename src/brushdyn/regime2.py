@@ -17,11 +17,12 @@ flight shifted by whole periods. One inlined Newton kernel finds peaks and
 touchdowns from phases fitted in rho = c_g/c_f for a flight from rest, in ~4
 evaluations each (once converged it gallops out of rounding noise), to float
 resolution away from the lift-off threshold; the closed form cancels as rho
-nears 1, so the steady peak is off by 6.4e-10 (relative) at rho = 1 - 1e-4
-and by 11 % at rho = 1 - 1e-8. dt only sets the sampling grid: ``simulate``
-holds every sample (~2 GB at MAX_GRID_STEPS), ``stream`` yields one block of at
-most _BLOCK samples at a time. Limit: exact only while the moments do not
-depend on theta (fixed moment arms).
+nears 1, so the steady peak is off by ~1e-9 (relative) at rho = 1 - 1e-4 and
+by 8-11 % at rho = 1 - 1e-8 (omega = 300 rad/s with c_g = 73.575, c_f = 50 or
+c_f = 270 rad/s^2). dt only sets the sampling grid: ``simulate`` holds every
+sample (~2 GB at MAX_GRID_STEPS), ``stream`` yields one block of at most
+_BLOCK samples at a time. Limit: exact only while the moments do not depend
+on theta (fixed moment arms).
 """
 
 from __future__ import annotations
@@ -86,22 +87,22 @@ class Sample(NamedTuple):
     x: float
 
 
-class FlightEvent(NamedTuple):
-    lift_off_time: float
-    touchdown_time: float
+class Cycle(NamedTuple):
+    lift_off: float
+    touchdown: float
+    peak: float
 
 
 class Regime2Trajectory(NamedTuple):
-    """Sampled hybrid trajectory plus per-cycle bookkeeping.
+    """Sampled hybrid trajectory and its completed flights.
 
-    samples      time-ordered (t, theta, theta_dot, theta_ddot, x), in blocks from stream
-    cycle_peaks  peak angle of each completed flight, rad
-    events       (lift_off_time, touchdown_time) of each completed flight
+    samples  time-ordered: Samples from simulate, column blocks from stream
+    cycles   one Cycle per completed flight, in time order: its lift-off and
+             touchdown times, s, and its peak angle, rad
     """
 
-    samples: tuple[Sample, ...]
-    cycle_peaks: tuple[float, ...]
-    events: tuple[FlightEvent, ...]
+    samples: tuple[Sample, ...] | Iterator[tuple]
+    cycles: tuple[Cycle, ...]
 
 
 def _starts(rho: float, omega: float) -> tuple[tuple, tuple]:
@@ -352,9 +353,8 @@ def stream(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Regime2Tra
                 peak if i < landed and peak is not None else None)  # counted cycles only
                for flight, ks, duration, landed, peak in _cycles(robot, motor, cfg)
                for i, t in enumerate(map(flight.lift_off, ks))]
-    cycles = [(t, down, peak) for _, t, down, peak in flights if peak is not None]
-    return Regime2Trajectory(_blocks(robot, cfg, flights), tuple(p for *_, p in cycles),
-                             tuple(FlightEvent(t, down) for t, down, _ in cycles))
+    return Regime2Trajectory(_blocks(robot, cfg, flights), tuple(
+        Cycle(t, down, peak) for _, t, down, peak in flights if peak is not None))
 
 
 def simulate(
@@ -384,9 +384,9 @@ def simulate(
 def peak_angle(traj: Regime2Trajectory) -> float:
     """The steady cycle peak, the last one's: flights from rest share one peak,
     and a first flight from theta0 > 0 is the last cycle only when alone."""
-    if not traj.cycle_peaks:
+    if not traj.cycles:
         raise NoCompletedCycleError("trajectory has no completed lift-off/touchdown cycle")
-    return traj.cycle_peaks[-1]
+    return traj.cycles[-1].peak
 
 
 def step_displacement(robot: RobotParams, theta_hat: float) -> float:

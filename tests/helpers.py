@@ -150,9 +150,9 @@ def rk4_hybrid(robot: RobotParams, motor: MotorParams, t_end: float, dt: float):
     classical RK4 while airborne, touchdown located by bisecting the RK4
     substep, and release from rest at the rising edge of the net moment
     located by bisection in time. Plastic touchdowns reset theta and its
-    rate to zero. Returns (cycle_peaks, events, samples): the largest theta
-    at the steps of each completed flight, its (lift_off_time,
-    touchdown_time), and (t, theta, theta_dot) at every step k*dt.
+    rate to zero. Returns (flights, samples): (lift_off, touchdown, peak) of
+    each completed flight, like walk_flights, with peak the largest theta at
+    its steps, and (t, theta, theta_dot) at every step k*dt.
     """
     a = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
     b = robot.weight * robot.gravity_arm / robot.pivot_inertia
@@ -179,7 +179,7 @@ def rk4_hybrid(robot: RobotParams, motor: MotorParams, t_end: float, dt: float):
             else:
                 lo = mid
 
-    peaks, events, samples = [], [], [(0.0, 0.0, 0.0)]
+    flights, samples = [], [(0.0, 0.0, 0.0)]
     theta = vel = peak = lift = 0.0
     airborne = False
     armed = accel(0.0) <= 0.0
@@ -196,8 +196,7 @@ def rk4_hybrid(robot: RobotParams, motor: MotorParams, t_end: float, dt: float):
                 tau += first_true(
                     0.0, end - start, lambda h: rk4(start, th0, v0, h)[0] <= 0.0
                 )
-                peaks.append(peak)
-                events.append((lift, tau))
+                flights.append((lift, tau, peak))
                 theta = vel = 0.0
                 airborne = False
                 armed = accel(tau) <= 0.0
@@ -213,7 +212,7 @@ def rk4_hybrid(robot: RobotParams, motor: MotorParams, t_end: float, dt: float):
                 airborne = True
                 peak = 0.0
         samples.append((end, theta, vel) if airborne else (end, 0.0, 0.0))
-    return peaks, events, samples
+    return flights, samples
 
 
 # ---------------------------------------------------------------------------

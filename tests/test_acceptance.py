@@ -157,7 +157,7 @@ def _random_regime2_case(rng):
             traj = regime2.simulate(robot, motor, cfg)
         except regime2.ModelDomainError:
             continue
-        if traj.cycle_peaks:
+        if traj.cycles:
             return robot, motor, cfg, traj
     raise AssertionError("could not sample a usable rigid-regime case")
 
@@ -166,13 +166,13 @@ def _check_against_rk4(traj, robot, motor, cfg, refine=10):
     """Samples inside each flight to 1e-8 rad and cycle peaks to 1e-4 rad
     against RK4 plus bisection at dt/refine (grid point k is oracle step
     refine*k)."""
-    peaks, _, oracle = rk4_hybrid(robot, motor, cfg.t_end, cfg.dt / refine)
-    assert len(traj.cycle_peaks) == len(peaks)
-    assert max(abs(a - b) for a, b in zip(traj.cycle_peaks, peaks)) <= 1e-4
+    flights, oracle = rk4_hybrid(robot, motor, cfg.t_end, cfg.dt / refine)
+    assert len(traj.cycles) == len(flights)
+    assert max(abs(cycle.peak - peak) for cycle, (*_, peak) in zip(traj.cycles, flights)) <= 1e-4
     checked = 0
-    for event in traj.events:
+    for cycle in traj.cycles:
         for s in traj.samples:
-            if event.lift_off_time < s.t < event.touchdown_time:
+            if cycle.lift_off < s.t < cycle.touchdown:
                 t, theta, _ = oracle[refine * round(s.t / cfg.dt)]
                 assert abs(t - s.t) <= 1e-9 * cfg.dt
                 assert abs(s.theta - theta) <= 1e-8
@@ -212,21 +212,21 @@ def test_criterion_6_qualitative_reproduction():
 
     # (b) plastic impacts: exact zeros at every touchdown
     by_time = {s.t: s for s in traj.samples}
-    for event in traj.events:
-        s = by_time[event.touchdown_time]
+    for cycle in traj.cycles:
+        s = by_time[cycle.touchdown]
         assert s.theta == 0.0 and s.theta_dot == 0.0 and s.theta_ddot == 0.0
 
     # (c) staircase displacement with steps h*sin(peak)
     xs = [s.x for s in traj.samples]
     assert all(b >= a for a, b in zip(xs, xs[1:]))
     total = 0.0
-    for event, peak in zip(traj.events, traj.cycle_peaks):
-        landing = by_time[event.touchdown_time]
-        total += robot.step_height * math.sin(peak)
+    for cycle in traj.cycles:
+        landing = by_time[cycle.touchdown]
+        total += robot.step_height * math.sin(cycle.peak)
         assert landing.x == pytest.approx(total, rel=1e-12)
 
     # (d) steady cycle peaks
-    peaks = traj.cycle_peaks
+    peaks = [c.peak for c in traj.cycles]
     assert len(peaks) > 4
     for a, b in zip(peaks[3:], peaks[4:]):
         assert abs(b - a) / a <= 0.01

@@ -453,8 +453,8 @@ class TestSimulateR2:
                                           theta0, stride)
         robot, motor = RobotParams(0.05, 2e-5, 0.03, 0.003, 0.04), MotorParams(1e-3, 2e-3, 300.0)
         period, block = motor.period, regime2._BLOCK
-        flight = regime2.simulate(robot, motor, SimConfig(5.5 * period, period / 200.0)).events[0]
-        lift_off, touchdown = flight
+        flight = regime2.simulate(robot, motor, SimConfig(5.5 * period, period / 200.0)).cycles[0]
+        lift_off, touchdown, _ = flight
         # lift-off and touchdown times do not depend on dt: block samples at
         # rest before the lift-off, and a multiple of block in its flight
         yield robot, motor, SimConfig(5.2 * period, lift_off / (block - 0.5))
@@ -500,7 +500,7 @@ class TestSimulateR2:
                 if angles[0] is None:  # at rest: outside every counted flight
                     assert angles == [None] * 3
                     assert not any(lift_off <= u < touchdown
-                                   for lift_off, touchdown in traj.events for u in t)
+                                   for lift_off, touchdown, _ in traj.cycles for u in t)
                 else:
                     assert all(len(column) == len(t) for column in angles)
                 after = blocks[index + 1][1] if index + 1 < len(blocks) else "end"
@@ -508,7 +508,7 @@ class TestSimulateR2:
                     full_at.add("end" if after == "end" else
                                 "lift-off" if angles[0] is None else "touchdown")
             mid_flight += blocks[-1][1] is not None
-            grounded += not traj.events
+            grounded += not traj.cycles
             tilted += sim.theta0 > 0.0
         assert full_at == {"lift-off", "touchdown", "end"}
         assert mid_flight >= 10 and grounded >= 10 and tilted >= 50
@@ -867,6 +867,28 @@ class TestEntryPoint:
                 exits_2 = exc.code == 2
             capsys.readouterr()
             assert ("--out" in rest) == exits_2, command
+
+    def test_readme_library_example_prints_its_results(
+        self, capsys, brush, reference_robot, reference_motor
+    ):
+        # the README's python block, run as written, against the same calls
+        # on the same records made here
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+        exec(compile(example, "README.md library example", "exec"), {})
+        sim = SimConfig(t_end=0.5, dt=1e-4)
+        traj = regime2.simulate(reference_robot, reference_motor, sim)
+        peak = regime2.peak_angle(traj)
+        speed = regime2.steady_speed(reference_robot, reference_motor, sim)
+        assert capsys.readouterr().out.splitlines() == [
+            str(regime1.predict(brush, reference_motor)),
+            str(regime1.optimal_motor_speed(brush)),
+            f"{len(traj.cycles)} {peak}",
+            str(speed),
+        ]
+        # its comment: "one hop per 2 periods here"
+        step = regime2.step_displacement(reference_robot, peak)
+        assert speed == step / (2 * reference_motor.period)
 
 
 class TestNonFiniteValues:

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from brushdyn import MotorParams, RobotParams, SimConfig, regime2
 from brushdyn.params import ValidationError
 from brushdyn.regime2 import (
+    Cycle,
     ModelDomainError,
     NoCompletedCycleError,
     Regime2Trajectory,
@@ -98,7 +99,7 @@ class TestLiftOffCondition:
                 hi = mid
             else:
                 lo = mid
-        first = reference_trajectory.events[0].lift_off_time
+        first = reference_trajectory.cycles[0].lift_off
         assert first == pytest.approx(hi, abs=1e-12)
         ratio = (reference_robot.weight * reference_robot.gravity_arm) / (
             reference_motor.force_amplitude * reference_robot.forcing_arm
@@ -111,8 +112,7 @@ class TestLiftOffCondition:
 class TestSimulateTrivial:
     def test_motor_off_stays_at_rest(self, reference_robot):
         traj = regime2.simulate(reference_robot, quiet_motor(), SimConfig(0.5, 1e-4))
-        assert not traj.events
-        assert not traj.cycle_peaks
+        assert not traj.cycles
         assert all(s.theta == 0.0 for s in traj.samples)
         assert all(s.theta_dot == 0.0 for s in traj.samples)
         assert all(s.x == 0.0 for s in traj.samples)
@@ -128,24 +128,24 @@ class TestSimulateTrivial:
             / reference_robot.pivot_inertia
         )
         fall_time = math.sqrt(2.0 * theta0 / decel)
-        assert len(traj.events) == 1
-        assert traj.events[0].lift_off_time == 0.0
-        assert traj.events[0].touchdown_time == pytest.approx(fall_time, abs=1e-9)
-        assert traj.cycle_peaks == (theta0,)
+        ((lift_off, touchdown, peak),) = traj.cycles
+        assert lift_off == 0.0
+        assert touchdown == pytest.approx(fall_time, abs=1e-9)
+        assert peak == theta0
         assert traj.samples[-1].x == pytest.approx(
             reference_robot.step_height * math.sin(theta0), rel=1e-12
         )
 
         # parabolic flight against the samples, constant angular deceleration
         for s in traj.samples:
-            if 0.0 < s.t < traj.events[0].touchdown_time:
+            if 0.0 < s.t < touchdown:
                 assert s.theta == pytest.approx(
                     theta0 - 0.5 * decel * s.t**2, abs=1e-8
                 )
                 assert s.theta_ddot == -decel
 
         # at rest forever after the single touchdown
-        after = [s for s in traj.samples if s.t > traj.events[0].touchdown_time]
+        after = [s for s in traj.samples if s.t > touchdown]
         assert after
         assert all(s.theta == 0.0 and s.x == traj.samples[-1].x for s in after)
 
@@ -156,9 +156,9 @@ class TestSimulateReference:
 
     def test_impact_resets_are_exact(self, reference_trajectory):
         by_time = {s.t: s for s in reference_trajectory.samples}
-        assert reference_trajectory.events
-        for event in reference_trajectory.events:
-            s = by_time[event.touchdown_time]
+        assert reference_trajectory.cycles
+        for cycle in reference_trajectory.cycles:
+            s = by_time[cycle.touchdown]
             assert s.theta == 0.0
             assert s.theta_dot == 0.0
             assert s.theta_ddot == 0.0
@@ -168,25 +168,23 @@ class TestSimulateReference:
         assert all(b >= a for a, b in zip(xs, xs[1:]))
         # x jumps by h*sin(peak) exactly at each touchdown and nowhere else
         expected = 0.0
-        events = iter(
-            zip(reference_trajectory.events, reference_trajectory.cycle_peaks)
-        )
-        event, peak = next(events)
+        cycles = iter(reference_trajectory.cycles)
+        cycle = next(cycles)
         for s in reference_trajectory.samples:
-            if event is not None and s.t >= event.touchdown_time:
-                expected += reference_robot.step_height * math.sin(peak)
-                event, peak = next(events, (None, None))
+            if cycle is not None and s.t >= cycle.touchdown:
+                expected += reference_robot.step_height * math.sin(cycle.peak)
+                cycle = next(cycles, None)
             assert s.x == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_cycles_lock_to_forcing_phase(self, reference_trajectory, reference_motor):
         phases = [
-            e.lift_off_time % reference_motor.period
-            for e in reference_trajectory.events
+            c.lift_off % reference_motor.period
+            for c in reference_trajectory.cycles
         ]
         assert max(phases) - min(phases) <= 1e-10
 
     def test_steady_peaks_after_cycle_three(self, reference_trajectory):
-        peaks = reference_trajectory.cycle_peaks
+        peaks = [c.peak for c in reference_trajectory.cycles]
         assert len(peaks) >= 6
         for a, b in zip(peaks[3:], peaks[4:]):
             assert abs(b - a) / a <= 0.01
@@ -201,11 +199,11 @@ class TestSimulateReference:
     ):
         # RK4 at a tenth of the library's grid step: library grid point k is
         # oracle step 10*k
-        _, _, oracle = rk4_hybrid(reference_robot, reference_motor, 0.5, 1e-5)
+        _, oracle = rk4_hybrid(reference_robot, reference_motor, 0.5, 1e-5)
         checked = 0
-        for event in reference_trajectory.events:
+        for cycle in reference_trajectory.cycles:
             for s in reference_trajectory.samples:
-                if event.lift_off_time < s.t < event.touchdown_time:
+                if cycle.lift_off < s.t < cycle.touchdown:
                     t, theta, theta_dot = oracle[10 * round(s.t / 1e-4)]
                     assert t == pytest.approx(s.t, abs=1e-15)
                     assert s.theta == pytest.approx(theta, abs=1e-8)
@@ -227,11 +225,10 @@ class TestSamplingGrid:
             for dt in (1e-4, 5e-5, 2.5e-5)
         ]
         coarse = runs[0]
-        assert len(coarse.events) >= 5
+        assert len(coarse.cycles) >= 5
         for run in runs[1:]:
-            assert len(run.events) == len(coarse.events)
-            assert run.events == coarse.events
-            assert run.cycle_peaks == coarse.cycle_peaks
+            assert len(run.cycles) == len(coarse.cycles)
+            assert run.cycles == coarse.cycles
 
     def test_peak_scales_as_forcing_over_omega_squared(self, reference_robot):
         # theta'' = c_f*(sin(omega*t) - rho): at fixed rho the flight is
@@ -262,10 +259,10 @@ class TestWindow:
         motor = quiet_motor()
         short = SimConfig(t_end=0.11, dt=1e-4, theta0=0.5)
         traj = regime2.simulate(reference_robot, motor, short)
-        assert not traj.events and not traj.cycle_peaks
+        assert not traj.cycles
         assert all(s.theta > 0.0 and s.x == 0.0 for s in traj.samples)
         long = SimConfig(t_end=0.12, dt=1e-4, theta0=0.5)
-        assert len(regime2.simulate(reference_robot, motor, long).events) == 1
+        assert len(regime2.simulate(reference_robot, motor, long).cycles) == 1
 
     def test_tilted_flight_landing_in_the_last_period_is_the_only_cycle(
         self, reference_robot, reference_motor
@@ -276,10 +273,10 @@ class TestWindow:
         period = reference_motor.period
         cfg = SimConfig(t_end=5.0 * period, dt=period / 400.0, theta0=0.2)
         traj = regime2.simulate(reference_robot, reference_motor, cfg)
-        assert traj.cycle_peaks == (0.20815568964720926,)
+        ((lift_off, touchdown, peak),) = traj.cycles
+        assert peak == 0.20815568964720926
         with pytest.raises(NoCompletedCycleError):  # no steady hop from rest
             regime2.steady_speed(reference_robot, reference_motor, cfg)
-        ((lift_off, touchdown),) = traj.events
         assert lift_off == 0.0 and 4.0 * period < touchdown < 4.2 * period
         after = [s for s in traj.samples if s.t >= touchdown]
         assert len(after) > 300
@@ -293,7 +290,7 @@ class TestWindow:
         eccentricity = 2000.0 * robot.pivot_inertia / (1e-3 * 300.0**2 * 0.03)
         motor = MotorParams(1e-3, eccentricity, 300.0)
         traj = regime2.simulate(robot, motor, SimConfig(t_end=0.2, dt=1e-4))
-        assert not traj.cycle_peaks
+        assert not traj.cycles
         assert max(s.theta for s in traj.samples) < math.pi / 2
         with pytest.raises(ModelDomainError, match="exceeds pi/2"):
             regime2.simulate(robot, motor, SimConfig(t_end=0.3, dt=1e-4))
@@ -303,16 +300,16 @@ class TestWindow:
     ):
         cfg = SimConfig(t_end=0.5, dt=1e-4, theta0=0.05)
         traj = regime2.simulate(reference_robot, reference_motor, cfg)
-        first, *rest = traj.events
-        assert first.lift_off_time == 0.0
-        assert rest and rest[0].lift_off_time >= first.touchdown_time
+        first, *rest = traj.cycles
+        assert first.lift_off == 0.0
+        assert rest and rest[0].lift_off >= first.touchdown
         rise = math.asin(
             reference_robot.weight
             * reference_robot.gravity_arm
             / (reference_motor.force_amplitude * reference_robot.forcing_arm)
         )
-        for event in rest:
-            phase = event.lift_off_time * reference_motor.speed % (2.0 * math.pi)
+        for cycle in rest:
+            phase = cycle.lift_off * reference_motor.speed % (2.0 * math.pi)
             assert phase == pytest.approx(rise, abs=1e-9)
 
 
@@ -342,7 +339,7 @@ class TestSteadyFlight:
         for _ in range(40):
             robot, motor, dt, theta0 = random_flights(rng)
             cfg = SimConfig(12.0 * motor.period, dt, theta0)
-            peaks = regime2.simulate(robot, motor, cfg).cycle_peaks
+            peaks = [c.peak for c in regime2.simulate(robot, motor, cfg).cycles]
             from_rest = peaks[1:] if theta0 > 0.0 else peaks
             assert len(from_rest) >= 2
             assert len(set(from_rest)) == 1, (theta0, peaks)
@@ -351,11 +348,11 @@ class TestSteadyFlight:
 class TestPeakBound:
     @staticmethod
     def assert_flights_below_peaks(traj):
-        assert traj.events
-        for event, peak in zip(traj.events, traj.cycle_peaks):
+        assert traj.cycles
+        for cycle in traj.cycles:
             for s in traj.samples:
-                if event.lift_off_time < s.t < event.touchdown_time:
-                    assert s.theta <= peak, (event, s)
+                if cycle.lift_off < s.t < cycle.touchdown:
+                    assert s.theta <= cycle.peak, (cycle, s)
 
     @pytest.mark.parametrize("stride", [1, 7])
     def test_reference_samples_stay_below_cycle_peaks(
@@ -399,14 +396,14 @@ class TestPeakBound:
 
         first = regime2.simulate(
             reference_robot, reference_motor, SimConfig(0.5, 1e-4)
-        ).events[0]
+        ).cycles[0]
         s_peak = brentq(
             rate,
             (math.pi - 2.0 * rise) / omega,  # theta_dot is largest here
-            first.touchdown_time - first.lift_off_time,
+            first.touchdown - first.lift_off,
             xtol=1e-15,
         )
-        t_peak = first.lift_off_time + s_peak
+        t_peak = first.lift_off + s_peak
         for j in range(-200, 201):
             cfg = SimConfig(0.5, (t_peak + j * 1e-13) / 300, record_stride=300)
             traj = regime2.simulate(reference_robot, reference_motor, cfg)
@@ -713,14 +710,14 @@ class TestEventLocation:
             robot, motor, cfg = event_case(rng, family, stride)
             traj = regime2.simulate(robot, motor, cfg)
             if family == "no_arm":
-                assert not traj.events  # theta_dot >= 0: nothing comes down
+                assert not traj.cycles  # theta_dot >= 0: nothing comes down
                 continue
             omega = motor.speed
             c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
             c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
             oracle = {}
-            for event, peak in zip(traj.events, traj.cycle_peaks):
-                start = (0.0, cfg.theta0) if event.lift_off_time == 0.0 else (
+            for cycle in traj.cycles:
+                start = (0.0, cfg.theta0) if cycle.lift_off == 0.0 else (
                     math.asin(c_grav / c_force), 0.0
                 )
                 if start not in oracle:
@@ -729,10 +726,10 @@ class TestEventLocation:
                     assert state(flight, duration)[0] <= 0.0
                     oracle[start] = flight_events(c_force, c_grav, omega, *start, cfg.t_end)
                 touchdown, oracle_peak = oracle[start]
-                assert event.touchdown_time == pytest.approx(
-                    event.lift_off_time + touchdown, rel=1e-12, abs=0.0
-                ), (index, event)
-                assert peak == pytest.approx(oracle_peak, rel=1e-12, abs=0.0), (index, event)
+                assert cycle.touchdown == pytest.approx(
+                    cycle.lift_off + touchdown, rel=1e-12, abs=0.0
+                ), (index, cycle)
+                assert cycle.peak == pytest.approx(oracle_peak, rel=1e-12, abs=0.0), (index, cycle)
                 events += 1
         assert events > 300
 
@@ -761,8 +758,7 @@ class TestCycleCount:
         assert flights == walked
         counted = [f for f in walked if f[2] is not None]
         traj = regime2.simulate(robot, motor, cfg)
-        assert traj.events == tuple((lift_off, touchdown) for lift_off, touchdown, _ in counted)
-        assert traj.cycle_peaks == tuple(peak for *_, peak in counted)
+        assert traj.cycles == tuple(counted)
         # the steady hop: the walk's flights from rest, its lift-offs n periods apart
         rest = walked[1:] if cfg.theta0 > 0.0 else walked
         if not any(peak is not None for *_, peak in rest):
@@ -799,6 +795,10 @@ class TestCycleCount:
         runaway = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04)
         cfg = SimConfig(t_end=0.5, dt=1e-4)
         assert self.assert_matches_walk(runaway, MotorParams(0.01, 0.01, 300.0), cfg) == []
+        # a 1e-30 rad tilt lands in ~1.7e-16 s, too short to count as a cycle
+        cfg = SimConfig(0.5, 1e-4, 1e-30)
+        short, *rest = self.assert_matches_walk(reference_robot, reference_motor, cfg)
+        assert short[1] < math.inf and short[2] is None and rest
 
     def test_window_ends_within_ulps_of_an_event(self):
         # end = N*dt with dt = t/N put a few ulps to either side of a
@@ -842,8 +842,8 @@ class TestPeakAngle:
     def test_uses_steady_portion(self):
         traj = Regime2Trajectory(
             samples=(Sample(0.0, 0.0, 0.0, 0.0, 0.0),),
-            cycle_peaks=(0.9, 0.05, 0.04, 0.02, 0.03),
-            events=(),
+            cycles=tuple(Cycle(0.01 * k, 0.01 * k + 0.005, peak)
+                         for k, peak in enumerate((0.9, 0.05, 0.04, 0.02, 0.03))),
         )
         # the last cycle is the steady one: neither the first (transient)
         # peak nor the largest of the last half
@@ -862,7 +862,7 @@ class TestPeakAngle:
             theta0 = rng.uniform(0.001, 0.3) if index % 2 else 0.0
             cfg = SimConfig(rng.uniform(5.0, 30.0) * motor.period, dt, theta0, stride)
             traj = regime2.stream(robot, motor, cfg)
-            peaks = traj.cycle_peaks
+            peaks = [c.peak for c in traj.cycles]
             if not peaks:
                 with pytest.raises(NoCompletedCycleError):
                     regime2.peak_angle(traj)
@@ -902,14 +902,14 @@ class TestSteadySpeed:
         motor = MotorParams(1e-3, 2e-3, speed)
         cfg = SimConfig(200.0 * motor.period, motor.period / 200.0, record_stride=100)
         traj = regime2.simulate(reference_robot, motor, cfg)
-        first, *_, last = traj.events
-        assert round((traj.events[1].lift_off_time - first.lift_off_time) / motor.period) == hops
+        first, *_, last = traj.cycles
+        assert round((traj.cycles[1].lift_off - first.lift_off) / motor.period) == hops
         # x steps at each touchdown; the first step is not a hop's time apart
-        x = [s.x for s in traj.samples if s.t == last.touchdown_time][-1]
-        per_hop = (x - x / len(traj.events)) / (last.lift_off_time - first.lift_off_time)
+        x = [s.x for s in traj.samples if s.t == last.touchdown][-1]
+        per_hop = (x - x / len(traj.cycles)) / (last.lift_off - first.lift_off)
         steady = regime2.steady_speed(reference_robot, motor, cfg)
         assert steady == pytest.approx(per_hop, rel=1e-12, abs=0.0)
-        once_per_period = speed * x / len(traj.events) / (2.0 * math.pi)
+        once_per_period = speed * x / len(traj.cycles) / (2.0 * math.pi)
         assert steady * hops == pytest.approx(once_per_period, rel=1e-12, abs=0.0)
 
 
@@ -923,20 +923,18 @@ class TestRecording:
         thin = regime2.simulate(
             reference_robot, reference_motor, SimConfig(0.5, 1e-4, record_stride=50)
         )
-        assert thin.cycle_peaks == dense.cycle_peaks
-        assert thin.events == dense.events
+        assert thin.cycles == dense.cycles
         assert len(thin.samples) < len(dense.samples)
         thin_times = {s.t for s in thin.samples}
-        for event in thin.events:
-            assert event.touchdown_time in thin_times
+        for cycle in thin.cycles:
+            assert cycle.touchdown in thin_times
 
     def test_touchdown_on_a_grid_point_is_sampled_once(self, reference_robot):
         # a free fall from 0.05 rad on a grid whose point n lands exactly on
         # the touchdown time: the touchdown sample stands for that point
         motor = quiet_motor()
         fall = SimConfig(t_end=0.5, dt=1e-4, theta0=0.05)
-        (event,) = regime2.simulate(reference_robot, motor, fall).events
-        touchdown = event.touchdown_time
+        ((_, touchdown, _),) = regime2.simulate(reference_robot, motor, fall).cycles
         n = next(n for n in range(400, 1000) if n * (touchdown / n) == touchdown)
         cfg = SimConfig(t_end=0.5, dt=touchdown / n, theta0=0.05)
         times = [s.t for s in regime2.simulate(reference_robot, motor, cfg).samples]

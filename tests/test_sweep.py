@@ -206,9 +206,9 @@ class TestRunSweep:
         hops = set()
         for drawn, drawn_motor, window in cases:
             traj = regime2.simulate(drawn, drawn_motor, window)
-            rest = traj.events[window.theta0 > 0.0:]
-            gap = rest[-1].lift_off_time - rest[-2].lift_off_time
-            expected = drawn.step_height * math.sin(traj.cycle_peaks[-1]) / gap
+            rest = traj.cycles[window.theta0 > 0.0:]
+            gap = rest[-1].lift_off - rest[-2].lift_off
+            expected = drawn.step_height * math.sin(rest[-1].peak) / gap
             got = objective(brush, drawn_motor, drawn, window)
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0), window
             hops.add(round(gap / drawn_motor.period))
@@ -224,7 +224,7 @@ class TestRunSweep:
         for periods in (5.0, 5.5):
             window = SimConfig(periods * period, period / 400.0, 0.2)
             traj = regime2.simulate(robot, motor, window)
-            assert len(traj.events) == 1 and (traj.samples[-1].theta > 0.0) == (periods > 5.0)
+            assert len(traj.cycles) == 1 and (traj.samples[-1].theta > 0.0) == (periods > 5.0)
             with pytest.raises(regime2.NoCompletedCycleError):
                 objective(brush, motor, robot, window)
             result = run_sweep(SweepSpec("omega", "v_r_regime2", (motor.speed,)),
