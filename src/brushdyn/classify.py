@@ -1,12 +1,12 @@
 """Operating-regime classifier.
 
-Decides whether a given brush/motor/robot combination behaves like a
-flexible-brush walker (RegimeI), a rigid pivot rocker (RegimeII), or sits in
-between (Transitional). The hard boundary is the lift ratio m*omega^2*r/(M*g):
-above 1 the ground-contact premise of the flexible model is broken. Below it,
-driving far above the brush bandwidth or running nearly vertical brushes both
-push the robot toward rigid-body behavior without a sharp threshold, so those
-cases are reported as Transitional.
+Decides whether a brush/motor/robot combination behaves like a flexible-brush
+walker (RegimeI), a rigid pivot rocker (RegimeII), or sits in between
+(Transitional). Ground contact is lost at lift ratio m*omega^2*r/(M*g) > 1,
+as `regime1_validity` decides (margin M*g - m*omega^2*r < 0; `predict-r1`'s
+`regime1_valid`). Below it, a drive far above the brush bandwidth or a nearly
+vertical brush pushes the robot toward rigid-body behavior without a sharp
+threshold, so those cases are reported as Transitional.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from typing import NamedTuple
 
 from .params import BrushParams, MotorParams, RobotParams
-from .regime1 import natural_frequency
+from .regime1 import natural_frequency, regime1_validity
 
 # Motor speeds more than this fraction above the brush natural frequency
 # count as driving a stiff/fast brush (factor (i)).
@@ -59,7 +59,7 @@ def classify(
     stiffness_score = motor.speed / omega_n
     alpha_margin = math.pi / 2.0 - brush.inclination
 
-    lifts = lift_ratio > 1.0
+    lifts = not regime1_validity(motor, robot).valid
     fast_drive = stiffness_score > 1.0 + BANDWIDTH_MARGIN
     near_vertical = alpha_margin < ALPHA_MARGIN_LIMIT
 

@@ -62,20 +62,9 @@ def _emit(pairs: list[tuple[str, object]], as_json: bool, separator: str) -> Non
 
 
 def cmd_predict_r1(cfg: RunConfig) -> tuple:
-    prediction = regime1.predict(cfg.brush, cfg.motor)
+    pairs = list(regime1.predict(cfg.brush, cfg.motor)._asdict().items())
     validity = regime1.regime1_validity(cfg.motor, cfg.robot)
-    return [
-        ("k_theta", prediction.k_theta),
-        ("I_theta", prediction.I_theta),
-        ("omega_n", prediction.omega_n),
-        ("t_bar", prediction.t_bar),
-        ("omega_star", regime1.optimal_motor_speed(cfg.brush)),
-        ("theta_hat", prediction.theta_hat),
-        ("delta", prediction.delta),
-        ("v_r", prediction.v_r),
-        ("regime1_valid", validity.valid),
-        ("margin", validity.margin),
-    ], None
+    return pairs + [("regime1_valid", validity.valid), ("margin", validity.margin)], None
 
 
 def cmd_simulate_r2(cfg: RunConfig) -> tuple:

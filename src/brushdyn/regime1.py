@@ -173,6 +173,7 @@ class Regime1Prediction(NamedTuple):
     I_theta    kg*m^2, lumped inertia coefficient
     omega_n    rad/s, natural frequency
     t_bar      s, return time pi/(2*omega_n)
+    omega_star rad/s, displacement-maximizing motor speed (equals omega_n)
     theta_hat  rad, forced oscillation amplitude at the motor speed
     delta      m, step per motor revolution
     v_r        m/s, predicted ground speed
@@ -182,6 +183,7 @@ class Regime1Prediction(NamedTuple):
     I_theta: float
     omega_n: float
     t_bar: float
+    omega_star: float
     theta_hat: float
     delta: float
     v_r: float
@@ -195,6 +197,7 @@ def predict(brush: BrushParams, motor: MotorParams) -> Regime1Prediction:
         I_theta=lumped_inertia(brush),
         omega_n=natural_frequency(brush),
         t_bar=return_time(brush),
+        omega_star=optimal_motor_speed(brush),
         theta_hat=forced_amplitude(brush, motor),
         delta=step_displacement(brush, motor),
         v_r=ground_speed(brush, motor),

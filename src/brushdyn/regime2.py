@@ -350,7 +350,7 @@ def stream(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Regime2Tra
     One record per flight: (flight, lift_off, touchdown or inf if airborne at
     the window end, peak or None if no cycle)."""
     flights = [(flight, t, t + duration if i < landed else math.inf,
-                peak if i < landed and peak is not None else None)  # counted cycles only
+                peak if i < landed else None)  # counted cycles only
                for flight, ks, duration, landed, peak in _cycles(robot, motor, cfg)
                for i, t in enumerate(map(flight.lift_off, ks))]
     return Regime2Trajectory(_blocks(robot, cfg, flights), tuple(

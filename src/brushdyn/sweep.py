@@ -167,7 +167,7 @@ def run_sweep(
 
     Rows come back in grid order; grid points are independent, so the result
     does not depend on evaluation order. argmax is the parameter value of the
-    best ok row, or None if no point evaluated.
+    best ok row (the first of equal best rows), or None if no point evaluated.
     """
     if spec.objective == "v_r_regime2" and (robot is None or sim is None):
         raise ValidationError(
@@ -177,18 +177,15 @@ def run_sweep(
     # tuple.__new__ builds each SweepRow without its Python-level __new__
     evaluate, new = OBJECTIVES[spec.objective], tuple.__new__
     rows = []
-    best_value: float | None = None
-    best_objective = -math.inf
     for value in spec.grid:
         try:
             objective = evaluate(*apply(value, brush, motor), robot, sim)
             if not math.isfinite(objective):
                 raise OverflowError(f"{spec.objective} is {objective!r}")
+            rows.append(new(SweepRow, (value, objective, STATUS_OK)))
         except FAILURE_TYPES as exc:
             rows.append(new(SweepRow, (value, None, failure(exc)[0])))
-            continue
-        rows.append(new(SweepRow, (value, objective, STATUS_OK)))
-        if objective > best_objective:
-            best_objective = objective
-            best_value = value
-    return SweepResult(spec.parameter, spec.objective, tuple(rows), best_value)
+    best = max((row for row in rows if row.status == STATUS_OK),
+               key=lambda row: row.objective, default=None)
+    return SweepResult(spec.parameter, spec.objective, tuple(rows),
+                       None if best is None else best.value)

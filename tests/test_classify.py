@@ -113,3 +113,29 @@ class TestProperties:
                 assert report.regime is Regime.REGIME_II
             seen_rigid = seen_rigid or report.regime is Regime.REGIME_II
         assert seen_rigid
+
+    def test_rigid_regime_exactly_when_regime1_is_invalid(self, soft_brush):
+        # the lift boundary is regime1_validity's: seeded forces equal to the
+        # weight or one ulp either side of it, and a force that is nan
+        # (omega^2 overflows to inf, and inf * r = 0 gives nan)
+        rng = np.random.default_rng(22)
+        cases, sides = [], set()
+        for _ in range(300):
+            motor = MotorParams(rng.uniform(1e-4, 1e-2), rng.uniform(1e-4, 1e-2),
+                                rng.uniform(50.0, 2000.0))
+            force = motor.force_amplitude
+            ulps = {math.nextafter(force, 0.0): -1, force: 0, math.nextafter(force, math.inf): 1}
+            gravity = rng.uniform(1.0, 20.0)
+            robots = [RobotParams(mass, 2e-5, 0.03, 0.003, 0.04, 1.0) for mass in ulps]
+            robots.append(RobotParams(force / gravity, 2e-5, 0.03, 0.003, 0.04, gravity))
+            for robot in robots:
+                sides.add(ulps.get(robot.weight))
+                cases.append((motor, robot))
+        assert {-1, 0, 1} <= sides
+        nan_force = MotorParams(1e-3, 0.0, 1e200)
+        assert math.isnan(nan_force.force_amplitude)
+        cases.append((nan_force, robot_with_weight(1.0)))
+        for motor, robot in cases:
+            lifts = not regime1.regime1_validity(motor, robot).valid
+            report = classify(soft_brush, motor, robot)
+            assert (report.regime is Regime.REGIME_II) == lifts, (motor, robot)

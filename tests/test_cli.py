@@ -218,34 +218,18 @@ class TestConfigParsing:
 
 class TestPredictR1:
     def test_table_matches_library(self, tmp_path, capsys):
+        # the record's fields in order, then the validity test, each value
+        # the repr of what the library returns
         path = write_config(tmp_path, FULL)
         code, out, _ = run_cli(capsys, ["predict-r1", "--config", path])
         assert code == 0
-        lines = out.splitlines()
-        names = [line.split()[0] for line in lines]
-        assert names == [
-            "k_theta",
-            "I_theta",
-            "omega_n",
-            "t_bar",
-            "omega_star",
-            "theta_hat",
-            "delta",
-            "v_r",
-            "regime1_valid",
-            "margin",
-        ]
-        values = dict(line.split(" ", 1) for line in lines)
-        brush = BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)
-        motor = MotorParams(1e-3, 2e-3, 300.0)
-        prediction = regime1.predict(brush, motor)
-        assert values["k_theta"] == repr(prediction.k_theta)
-        assert values["omega_n"] == repr(prediction.omega_n)
-        assert values["theta_hat"] == repr(prediction.theta_hat)
-        assert values["delta"] == repr(prediction.delta)
-        assert values["v_r"] == repr(prediction.v_r)
-        assert values["omega_star"] == repr(regime1.optimal_motor_speed(brush))
-        assert values["regime1_valid"] == "true"
+        names, values = zip(*(line.split(" ", 1) for line in out.splitlines()))
+        assert names == regime1.Regime1Prediction._fields + ("regime1_valid", "margin")
+        cfg = load_config(path)
+        prediction = regime1.predict(cfg.brush, cfg.motor)
+        validity = regime1.regime1_validity(cfg.motor, cfg.robot)
+        assert validity.valid
+        assert values == (*map(repr, prediction), "true", repr(validity.margin))
 
     def test_json_mode(self, tmp_path, capsys):
         path = write_config(tmp_path, FULL)

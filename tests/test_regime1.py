@@ -436,6 +436,7 @@ class TestPredict:
         assert p.I_theta == regime1.lumped_inertia(brush)
         assert p.omega_n == regime1.natural_frequency(brush)
         assert p.t_bar == regime1.return_time(brush)
+        assert p.omega_star == regime1.optimal_motor_speed(brush)
         assert p.theta_hat == regime1.forced_amplitude(brush, motor)
         assert p.delta == regime1.step_displacement(brush, motor)
         assert p.v_r == regime1.ground_speed(brush, motor)

@@ -132,6 +132,14 @@ class TestRunSweep:
         result = run_sweep(spec, brush, motor)
         assert result.argmax == 100.0
 
+    def test_argmax_is_the_first_of_equal_best_rows(self, brush, motor):
+        # k_theta does not depend on the brush mass: three equal objectives
+        spec = SweepSpec("M_b", "k_theta", (1e-3, 2e-3, 3e-3))
+        result = run_sweep(spec, brush, motor)
+        assert len({row.objective for row in result.rows}) == 1
+        assert all(row.status == STATUS_OK for row in result.rows)
+        assert result.argmax == 1e-3
+
     def test_alpha_stiffness_strictly_increasing(self, brush, motor):
         spec = SweepSpec.from_range("alpha", "k_theta", 0.1, 1.4, 10)
         result = run_sweep(spec, brush, motor)
