@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Iterator, NamedTuple
 
 from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
@@ -203,12 +203,12 @@ class _Flight:
             last = value
 
     def land(self, lift_off: float, limit: float) -> tuple[float, float | None]:
-        """Touchdown time (math.inf if airborne at ``limit``) and the peak
-        angle before it, the larger of theta0 and theta at the maxima of
-        theta, each time found by root as the only root in its bracket:
-        theta_ddot changes sign only at the phases rise and pi - rise, theta
-        is monotone between zeros of theta_dot. Values at bracket ends carry
-        over; the peak is None for a flight too short to be a cycle, else in
+        """Touchdown time and the peak angle before it, the larger of theta0
+        and theta at the maxima of theta, each time found by root as the only
+        root in its bracket: theta_ddot changes sign only at the phases rise
+        and pi - rise, theta is monotone between zeros of theta_dot. Values at
+        bracket ends carry over. (math.inf, None) if airborne at ``limit``;
+        the peak is None also for a flight too short to be a cycle, else in
         [0, pi/2): an angle at pi/2 or beyond raises ModelDomainError.
         """
         c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
@@ -241,17 +241,19 @@ class _Flight:
                     peak = angle
                 p = q
             v_p = v_q
-        return math.inf, peak
+        return math.inf, None
 
 
 def _steps(cfg: SimConfig) -> int:
     return math.floor(cfg.t_end / cfg.dt + 1e-9)
 
 
-def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
-    """Runs (flight, ks, duration, landed, peak) of one flight shifted by
-    whole periods: it lifts off at flight.lift_off(k) for k in ks, and the
-    first ``landed`` touch down inside the window; one more may be airborne."""
+def _flights(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Iterator[tuple]:
+    """(flight, lift_off, duration, peak) of each flight lifting off inside the
+    window, in time order: the tilted start's, then the flights from rest, the
+    one landing shifted by whole periods. peak is None unless it is a cycle; a
+    last one landing after the window end is (flight, lift_off, math.inf,
+    None). The window's errors are raised before the first record."""
     period = motor.period
     if cfg.dt > period / 200.0:
         raise ValidationError(f"dt {cfg.dt:.6g} exceeds T/200 = {period / 200.0:.6g} s")
@@ -267,38 +269,31 @@ def _cycles(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> list:
     c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
     c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
     end = steps * cfg.dt
-    runs, at_rest = [], 0.0
+    at_rest = 0.0
     if cfg.theta0 > 0.0:
         flight = _Flight(c_force, c_grav, omega, cfg.theta0)
         at_rest, peak = flight.land(0.0, end)  # a touchdown is at most end
-        runs.append((flight, range(1), at_rest, int(at_rest < math.inf), peak))
+        yield flight, 0.0, at_rest, peak
     if not (c_grav < c_force and at_rest < end):
-        return runs  # no lift-off from rest inside the window
+        return  # no lift-off from rest inside the window
 
     # Lift-offs from rest sit on the rising zeros (2*pi*k + rise)/omega of the
     # net moment, the first at or after the body came to rest.
     flight = _Flight(c_force, c_grav, omega, 0.0)
-    rise = flight.rise
-    k = max(0, math.ceil((omega * at_rest - rise) / TWO_PI))
-    if not (start := flight.lift_off(k)) < end:
-        return runs
-    duration, peak = flight.land(start, end - start)
-    if duration == math.inf:
-        return runs + [(flight, range(k, k + 1), duration, 0, peak)]
-    step = max(1, math.ceil(duration * omega / TWO_PI))
-    # Division estimates how many land inside the window, and rounding can put
-    # it one too high: count up from one below it against the times themselves.
-    last = math.floor(((end - duration) * omega - rise) / TWO_PI)
-    landed = max(0, (last - k) // step)
-    while (t := flight.lift_off(k + landed * step)) < end and t + duration <= end:
-        landed += 1
-    flights = landed + (t < end)  # the one after them lifts off, but lands too late
-    return runs + [(flight, range(k, k + flights * step, step), duration, landed, peak)]
+    k = max(0, math.ceil((omega * at_rest - flight.rise) / TWO_PI))
+    t = flight.lift_off(k)
+    duration, peak = flight.land(t, end - t)  # (math.inf, None) if t >= end
+    while t < end and t + duration <= end:
+        yield flight, t, duration, peak
+        k += max(1, math.ceil(duration * omega / TWO_PI))  # the periods per hop
+        t = flight.lift_off(k)
+    if t < end:
+        yield flight, t, math.inf, None
 
 
 def _blocks(robot: RobotParams, cfg: SimConfig, flights: list) -> Iterator[tuple]:
-    """The samples of ``simulate`` over ``stream``'s flights, in blocks of at
-    most _BLOCK consecutive ones of one x as columns (t, theta, theta_dot,
+    """The samples of ``simulate`` over the records of _flights, in blocks of
+    at most _BLOCK consecutive ones of one x as columns (t, theta, theta_dot,
     theta_ddot, x): lists, and the float x; the angle columns are None at
     rest, where all three are 0.0."""
     dt, stride, stop = cfg.dt, cfg.record_stride, _steps(cfg) + 1
@@ -318,7 +313,8 @@ def _blocks(robot: RobotParams, cfg: SimConfig, flights: list) -> Iterator[tuple
                 return
 
     x = 0.0
-    for flight, lift_off, touchdown, peak in flights:
+    for flight, lift_off, duration, peak in flights:
+        touchdown = lift_off + duration
         for t in grid(lift_off):
             yield t, None, None, None, x
         # the closed form of _Flight.land, with one sin per sample
@@ -346,15 +342,11 @@ def _blocks(robot: RobotParams, cfg: SimConfig, flights: list) -> Iterator[tuple
 
 def stream(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Regime2Trajectory:
     """``simulate`` with samples yielded one block of at most _BLOCK at a time,
-    laid out as _blocks says; it raises what simulate raises before the first.
-    One record per flight: (flight, lift_off, touchdown or inf if airborne at
-    the window end, peak or None if no cycle)."""
-    flights = [(flight, t, t + duration if i < landed else math.inf,
-                peak if i < landed else None)  # counted cycles only
-               for flight, ks, duration, landed, peak in _cycles(robot, motor, cfg)
-               for i, t in enumerate(map(flight.lift_off, ks))]
+    laid out as _blocks says. It lists every flight of _flights at the call,
+    so it raises there what simulate raises, before any block is read."""
+    flights = list(_flights(robot, motor, cfg))
     return Regime2Trajectory(_blocks(robot, cfg, flights), tuple(
-        Cycle(t, down, peak) for _, t, down, peak in flights if peak is not None))
+        Cycle(t, t + duration, peak) for _, t, duration, peak in flights if peak is not None))
 
 
 def simulate(
@@ -397,12 +389,13 @@ def step_displacement(robot: RobotParams, theta_hat: float) -> float:
 
 def steady_speed(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> float:
     """h*sin(peak)/(n*T), the steady speed ``simulate`` implies: one step of
-    the flight from rest per hop of n = ceil(duration*omega/(2*pi)) periods,
-    without sampling. Raises what simulate raises, and NoCompletedCycleError
-    when no flight from rest lands inside the window."""
-    runs = _cycles(robot, motor, cfg)
-    if len(runs) > (cfg.theta0 > 0.0):  # the last run lifts off from rest
-        _, ks, _, landed, peak = runs[-1]
-        if landed and peak is not None:
-            return step_displacement(robot, peak) / (ks.step * motor.period)
-    raise NoCompletedCycleError("no flight from rest lands inside the window")
+    the flight from rest per hop of n = max(1, ceil(duration*omega/(2*pi)))
+    periods. It solves only the first flight from rest, so it costs one flight
+    whatever the window length. Raises what simulate raises, and
+    NoCompletedCycleError when that flight is not a cycle inside the window."""
+    rest = islice(_flights(robot, motor, cfg), int(cfg.theta0 > 0.0), None)  # after a tilted start
+    _, _, duration, peak = next(rest, (None,) * 4)
+    if peak is None:
+        raise NoCompletedCycleError("no flight from rest lands inside the window")
+    hop = max(1, math.ceil(duration * motor.speed / TWO_PI))
+    return step_displacement(robot, peak) / (hop * motor.period)

@@ -25,6 +25,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from brushdyn import cli, params, regime2, sweep
 
@@ -110,15 +111,17 @@ def runs() -> dict[str, dict]:
                 name = " ".join([command, config, *form])
                 table[name] = {"config": f"configs/{config}", "argv": [command, *out, *form]}
 
-    # the r2_trajectory benchmark's draws, seed 1: ~20k samples each
+    # the r2_trajectory benchmark's draws, seed 1: ~20k samples each; the
+    # benchmark writes their configs under bench.WORK, here a scratch directory
     sys.path.insert(0, str(ROOT / "bench"))
     import run as bench
 
-    for index, (path, *_) in enumerate(bench.R2Trajectory({}, 1).draws):
-        table[f"simulate-r2 r2_trajectory seed 1 draw {index}"] = {
-            "text": Path(path).read_text(encoding="utf-8"),
-            "argv": ["simulate-r2", "--out", OUT],
-        }
+    with tempfile.TemporaryDirectory() as work, mock.patch.object(bench, "WORK", Path(work)):
+        for index, (path, *_) in enumerate(bench.R2Trajectory({}, 1).draws):
+            table[f"simulate-r2 r2_trajectory seed 1 draw {index}"] = {
+                "text": Path(path).read_text(encoding="utf-8"),
+                "argv": ["simulate-r2", "--out", OUT],
+            }
 
     reference = (ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
     edges = {

@@ -4,8 +4,8 @@ The oracles deliberately take different numerical routes than the library
 (exact rational series, collocation BVP solves, fixed-step RK4 time stepping
 with bisection for the rigid regime, whose library solver is the exact
 event-driven closed form, grid scans plus bisection on that closed form
-in another arrangement for its Newton event location, a walk over the
-window one flight at a time for its closed-form cycle count, and bisection of
+in another arrangement for its Newton event location, a closed-form count
+for its walk over the window one flight at a time, and bisection of
 the dimensionless flight in u-form for its fitted Newton starts) so that
 agreement actually means something.
 """
@@ -151,7 +151,7 @@ def rk4_hybrid(robot: RobotParams, motor: MotorParams, t_end: float, dt: float):
     substep, and release from rest at the rising edge of the net moment
     located by bisection in time. Plastic touchdowns reset theta and its
     rate to zero. Returns (flights, samples): (lift_off, touchdown, peak) of
-    each completed flight, like walk_flights, with peak the largest theta at
+    each completed flight, like count_flights, with peak the largest theta at
     its steps, and (t, theta, theta_dot) at every step k*dt.
     """
     a = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
@@ -320,20 +320,21 @@ def from_rest_phases(rho: float):
 
 
 # ---------------------------------------------------------------------------
-# walk oracle for the number of flights in a regime-2 window
+# closed-form count oracle for the flights in a regime-2 window
 
-def walk_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
+def count_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
     """(lift_off, touchdown, peak) of every flight in the window of
     ``regime2.simulate``: touchdown is math.inf for a flight airborne at the
     window end, peak None unless the flight counts as a cycle.
 
-    Independent route to the library's closed-form count of the flights
-    from rest: the window is walked one flight at a time, each lift-off the
-    first rising zero of the net moment a whole number of periods after the
-    touchdown before it, and each flight is tested against the window end
-    and the shortest counted flight as it comes. A flight's landing (its
-    duration and peak) is the library's event location, which
-    flight_events checks on its own.
+    Independent route to the library's walk over the window one flight at a
+    time: the flights from rest that land inside the window are counted in
+    closed form, from the first one's landing and the hop of whole periods
+    between lift-offs. Division estimates the last lift-off that lands by the
+    window end; rounding can put it one too high, so the count goes up from
+    one below it against the times themselves. A flight's landing (its
+    duration and peak) is the library's event location, which flight_events
+    checks on its own.
     """
     period, omega = motor.period, motor.speed
     c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
@@ -356,15 +357,24 @@ def walk_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
     if not (c_grav < c_force and at_rest < end):
         return flights
     rise = math.asin(c_grav / c_force)
-    k = max(0, math.ceil((omega * at_rest - rise) / (2.0 * math.pi)))
-    lift_off = (2.0 * math.pi * k + rise) / omega
-    if not lift_off < end:
+
+    def lift_off(k):  # the rising zeros of the net moment
+        return (2.0 * math.pi * k + rise) / omega
+
+    first = max(0, math.ceil((omega * at_rest - rise) / (2.0 * math.pi)))
+    if not lift_off(first) < end:
         return flights
-    landing = regime2._Flight(c_force, c_grav, omega, 0.0).land(lift_off, end - lift_off)
-    while lift_off < end:
-        flights.append(flight(lift_off, landing))
-        if flights[-1][1] == math.inf:
-            break
-        k += max(1, math.ceil(landing[0] * omega / (2.0 * math.pi)))
-        lift_off = (2.0 * math.pi * k + rise) / omega
+    landing = regime2._Flight(c_force, c_grav, omega, 0.0).land(
+        lift_off(first), end - lift_off(first))
+    duration = landing[0]
+    if duration == math.inf:
+        return flights + [flight(lift_off(first), landing)]
+    hop = max(1, math.ceil(duration * omega / (2.0 * math.pi)))
+    last = math.floor(((end - duration) * omega - rise) / (2.0 * math.pi))
+    landed = max(0, (last - first) // hop)
+    while (t := lift_off(first + landed * hop)) < end and t + duration <= end:
+        landed += 1
+    flights += [flight(lift_off(first + i * hop), landing) for i in range(landed)]
+    if t < end:  # the one after them lifts off, but lands too late
+        flights.append((t, math.inf, None))
     return flights

@@ -1,8 +1,9 @@
-"""Every run recorded in digests.json prints and writes the same bytes."""
+"""Every run recorded in digests.json prints and writes the same bytes, and
+is a run that digests.py makes."""
 
 import json
 
-from digests import FIELDS, FILE, replay
+from digests import FIELDS, FILE, replay, runs
 
 
 def test_every_recorded_run_gives_its_recorded_bytes(tmp_path, monkeypatch):
@@ -15,3 +16,10 @@ def test_every_recorded_run_gives_its_recorded_bytes(tmp_path, monkeypatch):
     moved = sorted(name for name, run in recorded.items()
                    if replay(run) != {key: run[key] for key in FIELDS})
     assert not moved, moved
+
+
+def test_recorded_runs_are_the_runs_the_recorder_makes():
+    # so that rewriting digests.json cannot add, drop or change a run unnoticed
+    recorded = json.loads(FILE.read_text(encoding="utf-8"))
+    assert runs() == {name: {key: value for key, value in run.items() if key not in FIELDS}
+                      for name, run in recorded.items()}

@@ -19,13 +19,13 @@ from brushdyn.regime2 import (
 from helpers import (
     REFERENCE_PEAK,
     bisect,
+    count_flights,
     flight_events,
     from_rest_phases,
     net_moment,
     reference_motor,
     reference_robot,
     rk4_hybrid,
-    walk_flights,
 )
 
 
@@ -669,7 +669,7 @@ class TestLandEvaluations:
             except ModelDomainError:
                 assert family == "no_arm"
                 continue
-            # _cycles takes a tilted flight's touchdown as the time it comes to rest
+            # _flights takes a tilted flight's touchdown as the time it comes to rest
             assert touchdown == math.inf or touchdown <= cfg.t_end
 
 
@@ -735,36 +735,32 @@ class TestEventLocation:
 
 
 class TestCycleCount:
-    """The closed-form count of the flights in a window against a walk over
-    it one flight at a time (helpers.walk_flights)."""
+    """The walk over the flights in a window one at a time (regime2._flights)
+    against their closed-form count (helpers.count_flights)."""
 
     @staticmethod
-    def assert_matches_walk(robot, motor, cfg):
+    def assert_matches_count(robot, motor, cfg):
         try:
-            walked = walk_flights(robot, motor, cfg)
+            counted = count_flights(robot, motor, cfg)
         except ModelDomainError:
             with pytest.raises(ModelDomainError):
                 regime2.simulate(robot, motor, cfg)
             with pytest.raises(ModelDomainError):
                 regime2.steady_speed(robot, motor, cfg)
             return []
-        flights = [  # every lift-off of the closed-form runs, airborne last
-            (flight.lift_off(k), *(
-                (flight.lift_off(k) + duration, peak) if i < landed else (math.inf, None)
-            ))
-            for flight, ks, duration, landed, peak in regime2._cycles(robot, motor, cfg)
-            for i, k in enumerate(ks)
+        flights = [  # every flight the walk yields, airborne last
+            (t, t + duration, peak) for _, t, duration, peak in regime2._flights(robot, motor, cfg)
         ]
-        assert flights == walked
-        counted = [f for f in walked if f[2] is not None]
+        assert flights == counted
+        cycles = [f for f in counted if f[2] is not None]
         traj = regime2.simulate(robot, motor, cfg)
-        assert traj.cycles == tuple(counted)
-        # the steady hop: the walk's flights from rest, its lift-offs n periods apart
-        rest = walked[1:] if cfg.theta0 > 0.0 else walked
+        assert traj.cycles == tuple(cycles)
+        # the steady hop: the count's flights from rest, its lift-offs n periods apart
+        rest = counted[1:] if cfg.theta0 > 0.0 else counted
         if not any(peak is not None for *_, peak in rest):
             with pytest.raises(NoCompletedCycleError):
                 regime2.steady_speed(robot, motor, cfg)
-            return walked
+            return counted
         (lift_off, touchdown, peak), *after = rest
         if after:  # the next lift-off from rest, whole periods later
             periods = round((after[0][0] - lift_off) / motor.period)
@@ -772,32 +768,32 @@ class TestCycleCount:
             periods = max(1, math.ceil((touchdown - lift_off) / motor.period))
         assert regime2.steady_speed(robot, motor, cfg) == (
             regime2.step_displacement(robot, peak) / (periods * motor.period))
-        return walked
+        return counted
 
-    def test_seeded_windows_match_walk(self):
+    def test_seeded_windows_match_count(self):
         rng = np.random.default_rng(707)
         flights = 0
         for index in range(90):
             robot, motor, dt, theta0 = random_flights(rng)
             cfg = SimConfig(rng.uniform(5.0, 30.0) * motor.period, dt, theta0, 1)
-            flights += len(self.assert_matches_walk(robot, motor, cfg))
+            flights += len(self.assert_matches_count(robot, motor, cfg))
             family = TestEventLocation.FAMILIES[index % 3]
-            flights += len(self.assert_matches_walk(*event_case(rng, family, 7)))
+            flights += len(self.assert_matches_count(*event_case(rng, family, 7)))
         assert flights > 1000
 
-    def test_no_lift_and_runaway_match_walk(self, reference_robot, reference_motor):
+    def test_no_lift_and_runaway_match_count(self, reference_robot, reference_motor):
         weak = MotorParams(1e-4, 2e-3, 300.0)  # c_g > c_f: never lifts from rest
         for theta0 in (0.0, 0.02):
             cfg = SimConfig(0.5, 1e-4, theta0)
-            assert self.assert_matches_walk(reference_robot, weak, cfg) == (
-                [] if theta0 == 0.0 else walk_flights(reference_robot, weak, cfg)
+            assert self.assert_matches_count(reference_robot, weak, cfg) == (
+                [] if theta0 == 0.0 else count_flights(reference_robot, weak, cfg)
             )
         runaway = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04)
         cfg = SimConfig(t_end=0.5, dt=1e-4)
-        assert self.assert_matches_walk(runaway, MotorParams(0.01, 0.01, 300.0), cfg) == []
+        assert self.assert_matches_count(runaway, MotorParams(0.01, 0.01, 300.0), cfg) == []
         # a 1e-30 rad tilt lands in ~1.7e-16 s, too short to count as a cycle
         cfg = SimConfig(0.5, 1e-4, 1e-30)
-        short, *rest = self.assert_matches_walk(reference_robot, reference_motor, cfg)
+        short, *rest = self.assert_matches_count(reference_robot, reference_motor, cfg)
         assert short[1] < math.inf and short[2] is None and rest
 
     def test_window_ends_within_ulps_of_an_event(self):
@@ -809,16 +805,16 @@ class TestCycleCount:
         for index in range(100):
             robot, motor, dt, theta0 = random_flights(rng)
             period = motor.period
-            walked = walk_flights(robot, motor, SimConfig(30.0 * period, dt, theta0))
+            counted = count_flights(robot, motor, SimConfig(30.0 * period, dt, theta0))
             for column in (0, 1, 1, 1):  # a lift-off, then touchdowns
-                times = [f[column] for f in walked if 6.0 * period < f[column] < math.inf]
+                times = [f[column] for f in counted if 6.0 * period < f[column] < math.inf]
                 t = times[rng.integers(len(times))]
                 steps = math.ceil(t / (period / 200.0)) + int(rng.integers(0, 40))
                 dt = t / steps
                 for _ in range(int(rng.integers(0, 4))):
                     dt = math.nextafter(dt, math.inf if rng.random() < 0.5 else 0.0)
                 cfg = SimConfig(steps * dt, dt, theta0, int(rng.integers(20, 60)))
-                flights = self.assert_matches_walk(robot, motor, cfg)
+                flights = self.assert_matches_count(robot, motor, cfg)
                 at_event += abs(steps * dt - t) <= 4.0 * math.ulp(t)
                 airborne += flights[-1][1] == math.inf
         assert at_event > 300 and airborne > 80
@@ -831,6 +827,26 @@ class TestModelDomain:
         motor = MotorParams(0.01, 0.01, 300.0)
         with pytest.raises(ModelDomainError):
             regime2.simulate(robot, motor, SimConfig(t_end=0.5, dt=1e-4))
+
+
+class TestStream:
+    """stream lists its flights at the call, so it raises there, before any
+    block of samples is read."""
+
+    @pytest.mark.parametrize("cfg, match", [
+        (SimConfig(0.5, 2e-4), "T/200"),
+        (SimConfig(0.05, 1e-4), "five forcing periods"),
+        (SimConfig(1e4, 1e-4), "grid steps"),
+    ])
+    def test_window_errors_raise_at_the_call(self, reference_robot, reference_motor, cfg, match):
+        with pytest.raises(ValidationError, match=match):
+            regime2.stream(reference_robot, reference_motor, cfg)
+
+    @pytest.mark.parametrize("theta0", [0.0, 0.5])
+    def test_runaway_raises_at_the_call(self, theta0):
+        robot = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04)
+        with pytest.raises(ModelDomainError, match="exceeds pi/2"):
+            regime2.stream(robot, MotorParams(0.01, 0.01, 300.0), SimConfig(0.5, 1e-4, theta0))
 
 
 class TestPeakAngle:
@@ -911,6 +927,25 @@ class TestSteadySpeed:
         assert steady == pytest.approx(per_hop, rel=1e-12, abs=0.0)
         once_per_period = speed * x / len(traj.cycles) / (2.0 * math.pi)
         assert steady * hops == pytest.approx(once_per_period, rel=1e-12, abs=0.0)
+
+    # A sweep point costs one flight whatever the window length: steady_speed
+    # lands the first flight from rest and lists none of the ones after it.
+    @pytest.mark.parametrize("periods", [5, 49_000])
+    @pytest.mark.parametrize("theta0", [0.0, 0.02])
+    def test_lands_one_flight_whatever_the_window_length(
+        self, reference_robot, reference_motor, monkeypatch, periods, theta0
+    ):
+        calls, lift_off = [], regime2._Flight.lift_off
+
+        def counted(flight, k):
+            calls.append(k)
+            return lift_off(flight, k)
+
+        monkeypatch.setattr(regime2._Flight, "lift_off", counted)
+        period = reference_motor.period
+        cfg = SimConfig(periods * period, period / 200.0, theta0)
+        regime2.steady_speed(reference_robot, reference_motor, cfg)
+        assert 1 <= len(calls) <= 3
 
 
 class TestRecording:
