@@ -278,9 +278,9 @@ def _flights(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Iterator
         return  # no lift-off from rest inside the window
 
     # Lift-offs from rest sit on the rising zeros (2*pi*k + rise)/omega of the
-    # net moment, the first at or after the body came to rest.
+    # net moment, the first at or after at_rest >= 0; rise < pi/2 gives k >= 0.
     flight = _Flight(c_force, c_grav, omega, 0.0)
-    k = max(0, math.ceil((omega * at_rest - flight.rise) / TWO_PI))
+    k = math.ceil((omega * at_rest - flight.rise) / TWO_PI)
     t = flight.lift_off(k)
     duration, peak = flight.land(t, end - t)  # (math.inf, None) if t >= end
     while t < end and t + duration <= end:

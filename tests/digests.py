@@ -12,6 +12,11 @@ record, so "same bytes" is one test.
 
 recomputes every run and rewrites digests.json. Rewriting it changes the
 documented output: list each digest that moved, and why.
+
+The shipped-config and corpus runs are made here. A config-text run is its
+recorded input: its "text" and "argv" in digests.json, and nothing else. To
+add one, write those two fields under a new name into digests.json, then run
+the recorder and raise the run count in test_digests.py.
 """
 
 from __future__ import annotations
@@ -22,14 +27,10 @@ import hashlib
 import io
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
-from brushdyn import cli, params, regime2, sweep
-
-from helpers import config_text
+from brushdyn import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 FILE = Path(__file__).with_name("digests.json")
@@ -84,80 +85,20 @@ def replay(run: dict) -> dict:
     return record(run["argv"], str(ROOT / run["config"]) if "config" in run else CONFIG)
 
 
-def r2_sweep_configs(bench, seed: int) -> list[str]:
-    """The draws of the r2_sweep benchmark (bench/run.py) for one seed, as
-    config text: the shipped brush, each draw's robot, motor and window, and
-    its omega grid."""
-    pkg = {"params": params, "regime2": regime2, "sweep": sweep}
-    draws = bench.R2Sweep(pkg, seed)
-    texts = []
-    for spec, robot, motor, sim in draws.draws:
-        sections = {name: {k: repr(v) for k, v in values._asdict().items()}
-                    for name, values in (("brush", draws.brush), ("robot", robot),
-                                         ("motor", motor), ("sim", sim))}
-        sections["sweep"] = {"parameter": spec.parameter, "objective": spec.objective,
-                             "grid": ", ".join(map(repr, spec.grid))}
-        texts.append(config_text(sections))
-    return texts
-
-
 def runs() -> dict[str, dict]:
-    """Every recorded run by name, without its record."""
-    table = {}
-    for config in ("reference.cfg", "alpha_sweep.cfg"):
-        for command in COMMANDS:
-            out = ["--out", OUT] if command in ("simulate-r2", "sweep") else []
-            for form in FORMS:
-                name = " ".join([command, config, *form])
-                table[name] = {"config": f"configs/{config}", "argv": [command, *out, *form]}
-
-    # the r2_trajectory benchmark's draws, seed 1: ~20k samples each; the
-    # benchmark writes their configs under bench.WORK, here a scratch directory
-    sys.path.insert(0, str(ROOT / "bench"))
-    import run as bench
-
-    with tempfile.TemporaryDirectory() as work, mock.patch.object(bench, "WORK", Path(work)):
-        for index, (path, *_) in enumerate(bench.R2Trajectory({}, 1).draws):
-            table[f"simulate-r2 r2_trajectory seed 1 draw {index}"] = {
-                "text": Path(path).read_text(encoding="utf-8"),
-                "argv": ["simulate-r2", "--out", OUT],
-            }
-
-    reference = (ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
-    edges = {
-        "theta0 0.05 stride 7": ("record_stride = 1", "record_stride = 7\ntheta0 = 0.05"),
-        "too weak to lift": ("speed = 300.0", "speed = 100.0"),
-        "airborne at the window end": ("t_end = 0.5", "t_end = 0.47"),
-    }
-    for name, (old, new) in edges.items():
-        assert reference.count(old) == 1, old
-        table[f"simulate-r2 {name}"] = {
-            "text": reference.replace(old, new),
-            "argv": ["simulate-r2", "--out", OUT],
-        }
-
-    # v_r_regime2 sweeps: the reference grid with that objective, and the
-    # r2_sweep benchmark's draws of seed 1, in both forms
-    sweeps = {"reference.cfg": reference.replace("objective = forced_amplitude_abs",
-                                                 "objective = v_r_regime2")}
-    assert sweeps["reference.cfg"] != reference
-    for index, text in enumerate(r2_sweep_configs(bench, 1)):
-        sweeps[f"r2_sweep seed 1 draw {index}"] = text
-    for name, text in sweeps.items():
-        for form in FORMS:
-            table[" ".join(["sweep v_r_regime2", name, *form])] = {
-                "text": text, "argv": ["sweep", "--out", OUT, *form]}
-    # and of seeds 2-6 in table form only: --json prints the same rows and
-    # argmax as the table, and the CSV is the same file
-    for seed in range(2, 7):
-        for index, text in enumerate(r2_sweep_configs(bench, seed)):
-            table[f"sweep v_r_regime2 r2_sweep seed {seed} draw {index}"] = {
-                "text": text, "argv": ["sweep", "--out", OUT]}
-
-    # the seeded malformed configs of TestFuzz, one record per command
+    """Every recorded run by name, without its record: each config-text run
+    as digests.json holds it, and every command in both forms on each
+    shipped config and on the TestFuzz corpus."""
+    recorded = json.loads(FILE.read_text(encoding="utf-8"))
+    table = {name: {"text": run["text"], "argv": run["argv"]}
+             for name, run in recorded.items() if "text" in run}
     for command in COMMANDS:
         out = ["--out", OUT] if command in ("simulate-r2", "sweep") else []
         for form in FORMS:
+            for config in ("reference.cfg", "alpha_sweep.cfg"):
+                table[" ".join([command, config, *form])] = {
+                    "config": f"configs/{config}", "argv": [command, *out, *form]}
+            # the seeded malformed configs of TestFuzz, one record per command
             table[" ".join([command, "TestFuzz corpus", *form])] = {
                 "corpus": "tests/test_cli.py::TestFuzz", "argv": [command, *out, *form]}
     return table

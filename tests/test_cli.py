@@ -162,6 +162,10 @@ class TestConfigParsing:
                          id="range-without-points"),
             pytest.param({"sweep": dict(parameter="omega", objective="k_theta", grid="")},
                          "sweep grid must contain at least one value", id="empty-grid"),
+            pytest.param({"sweep": dict(parameter="omega", objective="k_theta",
+                                        start="100", stop="300", points="2.5")},
+                         "value '2.5' for 'points' in [sweep] is not an integer",
+                         id="fractional-points"),
         ],
     )
     def test_config_error_exits_2_with_its_message(self, tmp_path, capsys, sections, error):
@@ -301,8 +305,14 @@ class TestSimulateR2:
         first = lines[1].split(" ")
         assert first == ["0.0", "0.0", "0.0", "0.0", "0.0"]
 
-    def test_motor_off_writes_zero_columns(self, tmp_path, capsys):
-        sections = {**FULL, "motor": {**MOTOR_SECTION, "eccentric_mass": "0"}}
+    @pytest.mark.parametrize("stride, samples", [
+        pytest.param("1", 5001, id="every-step"),
+        # the only sample is at t = 0, so mean_v_r has no time to divide by
+        pytest.param("10000", 1, id="stride-past-window-end"),
+    ])
+    def test_motor_off_writes_zero_columns(self, tmp_path, capsys, stride, samples):
+        sections = {**FULL, "motor": {**MOTOR_SECTION, "eccentric_mass": "0"},
+                    "sim": {**SIM_SECTION, "record_stride": stride}}
         path = write_config(tmp_path, sections)
         out_path = tmp_path / "traj.txt"
         code, out, _ = run_cli(
@@ -313,7 +323,9 @@ class TestSimulateR2:
         assert payload["cycles"] == 0
         assert payload["peak_angle"] is None
         assert payload["mean_v_r"] == 0.0
-        for line in out_path.read_text(encoding="utf-8").splitlines()[1:]:
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + samples
+        for line in lines[1:]:
             _, th, thdot, thddot, x = line.split(" ")
             assert th == "0.0" and x == "0.0"
 

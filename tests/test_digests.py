@@ -1,5 +1,10 @@
 """Every run recorded in digests.json prints and writes the same bytes, and
-is a run that digests.py makes."""
+is a run that digests.py makes.
+
+A config-text run is its recorded input, the "text" and "argv" digests.json
+holds: to add one, write those two fields under a new name into
+digests.json, run ``PYTHONPATH=src python tests/digests.py`` and raise the
+count below."""
 
 import json
 
@@ -19,7 +24,8 @@ def test_every_recorded_run_gives_its_recorded_bytes(tmp_path, monkeypatch):
 
 
 def test_recorded_runs_are_the_runs_the_recorder_makes():
-    # so that rewriting digests.json cannot add, drop or change a run unnoticed
+    # so that rewriting digests.json cannot add, drop or change a shipped-config
+    # or corpus run unnoticed, nor record any other kind than a config-text run
     recorded = json.loads(FILE.read_text(encoding="utf-8"))
     assert runs() == {name: {key: value for key, value in run.items() if key not in FIELDS}
                       for name, run in recorded.items()}

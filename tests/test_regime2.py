@@ -409,6 +409,25 @@ class TestPeakBound:
             traj = regime2.simulate(reference_robot, reference_motor, cfg)
             self.assert_flights_below_peaks(traj)
 
+    def test_grid_points_just_after_a_lift_off_stay_on_the_ground(
+        self, reference_robot, reference_motor
+    ):
+        # Within ~1e-11 s of a lift-off, theta ~ c*s^3 is below rounding and
+        # the closed form reads a few 1e-20 of either sign; a negative one is
+        # clamped to 0.0. Grid point 1000 is put 1e-12 to 1e-11 s after the
+        # second lift-off.
+        t_lift = regime2.simulate(
+            reference_robot, reference_motor, SimConfig(0.5, 1e-4)
+        ).cycles[1].lift_off
+        angles = []
+        for j in range(1, 11):
+            dt = (t_lift + j * 1e-12) / 1000
+            traj = regime2.simulate(reference_robot, reference_motor, SimConfig(0.2, dt))
+            (sample,) = [s for s in traj.samples if s.t == 1000 * dt]
+            angles.append(sample.theta)
+        assert min(angles) >= 0.0, angles
+        assert 0.0 in angles, angles
+
 
 def state(flight, s):
     """(theta, theta_dot) of a regime2._Flight at s: the closed form that
