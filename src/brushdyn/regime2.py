@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterator, NamedTuple
 
 from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
@@ -291,11 +291,11 @@ def _flights(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Iterator
         yield flight, t, math.inf, None
 
 
-def _blocks(robot: RobotParams, cfg: SimConfig, flights: list) -> Iterator[tuple]:
+def _blocks(cfg: SimConfig, flights: list, xs: Iterator[float]) -> Iterator[tuple]:
     """The samples of ``simulate`` over the records of _flights, in blocks of
     at most _BLOCK consecutive ones of one x as columns (t, theta, theta_dot,
-    theta_ddot, x): lists, and the float x; the angle columns are None at
-    rest, where all three are 0.0."""
+    theta_ddot, x): lists, and the float x, the next of xs from each touchdown;
+    the angle columns are None at rest, where all three are 0.0."""
     dt, stride, stop = cfg.dt, cfg.record_stride, _steps(cfg) + 1
     sin, cos = math.sin, math.cos
     k = 0
@@ -332,7 +332,7 @@ def _blocks(robot: RobotParams, cfg: SimConfig, flights: list) -> Iterator[tuple
                 accel.append(c_force * sine - c_grav)
             yield t, theta, rate, accel, x
         if peak is not None:
-            x += step_displacement(robot, peak)
+            x = next(xs)
             yield [touchdown], None, None, None, x
             if k * dt <= touchdown:
                 k += stride  # a touchdown sample already stands here
@@ -342,11 +342,16 @@ def _blocks(robot: RobotParams, cfg: SimConfig, flights: list) -> Iterator[tuple
 
 def stream(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Regime2Trajectory:
     """``simulate`` with samples yielded one block of at most _BLOCK at a time,
-    laid out as _blocks says. It lists every flight of _flights at the call,
-    so it raises there what simulate raises, before any block is read."""
+    laid out as _blocks says. It lists every flight and each touchdown's x at
+    the call, so it raises there what simulate raises, before any block is read."""
     flights = list(_flights(robot, motor, cfg))
-    return Regime2Trajectory(_blocks(robot, cfg, flights), tuple(
-        Cycle(t, t + duration, peak) for _, t, duration, peak in flights if peak is not None))
+    cycles = tuple(Cycle(t, t + duration, peak)
+                   for _, t, duration, peak in flights if peak is not None)
+    # x added up in turn, as samples carry it: sum() may compensate and not overflow
+    xs = list(accumulate(step_displacement(robot, peak) for *_, peak in cycles))
+    if math.inf in xs:
+        raise OverflowError(f"x is inf after {xs.index(math.inf) + 1} cycles")
+    return Regime2Trajectory(_blocks(cfg, flights, iter(xs)), cycles)
 
 
 def simulate(
@@ -363,8 +368,9 @@ def simulate(
     is clamped to [0, cycle peak]. A flight still airborne at the window end
     is not a cycle, and its theta is only kept >= 0.
 
-    Raises ValidationError when dt or t_end violate the resolution guards
-    and ModelDomainError if the body angle reaches pi/2 inside the window.
+    Raises ValidationError when dt or t_end violate the resolution guards,
+    ModelDomainError if the body angle reaches pi/2 inside the window and
+    OverflowError if x leaves the float range.
     """
     traj, zero = stream(robot, motor, cfg), repeat(0.0)
     rows = chain.from_iterable(zip(t, theta or zero, rate or zero, accel or zero, repeat(x))
@@ -388,10 +394,10 @@ def step_displacement(robot: RobotParams, theta_hat: float) -> float:
 
 
 def steady_speed(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> float:
-    """h*sin(peak)/(n*T), the steady speed ``simulate`` implies: one step of
-    the flight from rest per hop of n = max(1, ceil(duration*omega/(2*pi)))
-    periods. It solves only the first flight from rest, so it costs one flight
-    whatever the window length. Raises what simulate raises, and
+    """h*sin(peak)/(n*T), the steady speed ``simulate`` implies: one step of the flight
+    from rest per hop of n = max(1, ceil(duration*omega/(2*pi))) periods. It lands
+    only the first flight from rest, after a tilted start's, so it costs one flight
+    (two if theta0 > 0) whatever the window length. Raises what simulate raises, and
     NoCompletedCycleError when that flight is not a cycle inside the window."""
     rest = islice(_flights(robot, motor, cfg), int(cfg.theta0 > 0.0), None)  # after a tilted start
     _, _, duration, peak = next(rest, (None,) * 4)

@@ -1,5 +1,6 @@
 """Command surface: output formats, exit codes, determinism."""
 
+import errno
 import io
 import json
 import math
@@ -72,6 +73,128 @@ ROOT = Path(__file__).resolve().parent.parent
 # an --out file from an earlier run, which a run that fails must leave as is
 EARLIER_OUT = b"t th thdot thddot x\n0.0 0.0 0.0 0.0 0.0\n"
 SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+WRITERS = ("simulate-r2", "sweep")  # the commands that take --out
+FORMS = pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
+
+
+def assert_failed(result, code, error=None, out_path=None):
+    """The failure contract of an (exit code, stdout, stderr) run: exit code
+    `code`, nothing on stdout and one `error: ...` line on stderr, exactly
+    `error: {error}` when error is given; out_path, an --out file written
+    before the run, keeps its bytes."""
+    exit_code, out, err = result
+    assert (exit_code, out) == (code, ""), err
+    if error is None:
+        assert re.fullmatch(r"error: .+\n", err), err
+    else:
+        assert err == f"error: {error}\n"
+    if out_path is not None:
+        assert out_path.read_bytes() == EARLIER_OUT
+
+
+def changed(section, **keys):
+    """FULL with keys set in section, which is added if FULL has none."""
+    return {**FULL, section: {**FULL.get(section, {}), **keys}}
+
+
+def omega_sweep(objective, **keys):
+    return changed("sweep", parameter="omega", objective=objective, **keys)
+
+
+OMEGA_N = repr(regime1.natural_frequency(BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)))
+OMEGA_DOMAIN = "out of domain for parameter 'omega'"
+LOG_OVERFLOW = "overflows: stop / start exceeds the float range"
+
+# Runs that fail: case id -> (command, config sections, exit code, the one
+# stderr line after "error: "). TestFailingRuns runs each row in table and
+# --json form, with an earlier --out file for simulate-r2 and sweep, and
+# checks it with assert_failed. To add a failure, add its row here.
+FAILING_RUNS = {
+    # config errors, before any command runs
+    "default-section": ("sweep", {"DEFAULT": {"speed": "300.0"}, **FULL}, 2,
+                        "[DEFAULT] section is not supported"),
+    "bare-default-section": ("sweep", {"DEFAULT": {}, **FULL}, 2,
+                             "[DEFAULT] section is not supported"),
+    "range-without-points": ("sweep", omega_sweep("k_theta", start="100", stop="300"), 2,
+                             "[sweep] needs grid= or all of start=, stop=, points="),
+    "empty-grid": ("sweep", omega_sweep("k_theta", grid=""), 2,
+                   "sweep grid must contain at least one value"),
+    "fractional-points": ("sweep", omega_sweep("k_theta", start="100", stop="300", points="2.5"),
+                          2, "value '2.5' for 'points' in [sweep] is not an integer"),
+    "missing-robot-section": ("predict-r1", {"brush": BRUSH_SECTION, "motor": MOTOR_SECTION},
+                              2, "missing [robot] section in config"),
+    **{f"v_r_regime2-without-{missing}": (
+        "sweep", {name: keys for name, keys in omega_sweep("v_r_regime2", grid="250, 300").items()
+                  if name != missing}, 2, "objective v_r_regime2 needs robot and sim parameters")
+       for missing in ("robot", "sim")},
+    # 1e400 parses to inf; every command refuses it as a config error
+    **{f"{command}-{key}-1e400": (command, changed(section, **{key: "1e400"}), 2,
+                                  f"{key} must be finite")
+       for command, section, key in [("predict-r1", "brush", "brush_mass"),
+                                     ("classify", "brush", "brush_mass"),
+                                     ("predict-r1", "motor", "speed"),
+                                     ("classify", "motor", "speed"),
+                                     ("simulate-r2", "sim", "t_end")]},
+    # the window: a 200th of a period, a finite step count, at most 1e7 steps
+    "dt-above-a-200th-period": ("simulate-r2", changed("sim", dt="2e-4"), 2,
+                                "dt 0.0002 exceeds T/200 = 0.00010472 s"),
+    "t_end-over-dt-overflows": ("simulate-r2", changed("sim", t_end="1e300", dt="1e-10"), 2,
+                                "t_end / dt must be finite"),
+    # finite t_end / dt, but ~1e302 forcing periods to walk
+    "huge-window": ("simulate-r2", changed("sim", t_end="1e300"), 2,
+                    "t_end / dt exceeds 1e+07 grid steps"),
+    # a sweep grid value that is not finite, given or from a range
+    "infinite-grid-value": ("sweep", omega_sweep("v_r_regime2", grid="250, inf"), 2,
+                            f"grid value inf {OMEGA_DOMAIN}"),
+    "infinite-range-stop": ("sweep", omega_sweep("v_r_regime2", start="100", stop="1e400",
+                                                 points="5", spacing="log"), 2,
+                            f"grid value inf {OMEGA_DOMAIN}"),
+    # A linear span that overflows spaces the grid by an infinite step; the
+    # error names the endpoint that was written, not the nan first point. A
+    # log range whose stop / start overflows names both of its ends.
+    **{f"{spacing}-range-{start}-{stop}": (
+        "sweep", omega_sweep("k_theta", start=start, stop=stop, points="5", spacing=spacing),
+        2, error)
+       for spacing, start, stop, error in [
+           ("linear", "100", "1e400", f"grid value inf {OMEGA_DOMAIN}"),
+           ("linear", "-1e400", "100", f"grid value -inf {OMEGA_DOMAIN}"),
+           ("linear", "-1e308", "1e308", f"grid value -1e+308 {OMEGA_DOMAIN}"),
+           ("log", "1e-200", "1e200", f"log spacing from 1e-200 to 1e+200 {LOG_OVERFLOW}"),
+           ("log", "5e-324", "1", f"log spacing from 5e-324 to 1.0 {LOG_OVERFLOW}")]},
+    # speed = 1e300 is finite but its square overflows in regime1, and
+    # classify computes lift_ratio = inf. length = 1e-200 and young_modulus =
+    # 5e-324 are positive, but length**2 or EI underflows to 0, a zero divisor.
+    # Each message names the quantity and its value.
+    "predict-r1-speed-1e300": ("predict-r1", changed("motor", speed="1e300"), 2,
+                               "arithmetic overflow: speed**2 overflows at speed = 1e+300"),
+    "classify-speed-1e300": ("classify", changed("motor", speed="1e300"), 2,
+                             "arithmetic overflow: lift_ratio is inf"),
+    **{f"{command}-{key}-{value}": (command, changed("brush", **{key: value}), 2,
+                                    f"arithmetic underflow: {message}")
+       for command in ("predict-r1", "classify")
+       for key, value, message in (
+           ("length", "1e-200", "length**2*cos(inclination) is 0 at length = 1e-200"),
+           ("young_modulus", "5e-324",
+            "k_theta/I_theta = 0.0/2.0000000000000002e-07 is 0 or undefined"))},
+    # the force m*omega^2*r overflows; it is not an overswing (exit 4)
+    "stick-phase-angle-overflows": ("predict-r1", changed("motor", eccentric_mass="1e308"), 2,
+                                    "arithmetic overflow: stick-phase angle is inf"),
+    # ~240 hops of 1e308*sin(peak): x leaves the float range before --out opens
+    "x-past-the-float-range": ("simulate-r2", {**changed("robot", step_height="1e308"),
+                                               "sim": {**SIM_SECTION, "t_end": "10"}}, 2,
+                               "arithmetic overflow: x is inf after 208 cycles"),
+    "resonant-speed": ("predict-r1", changed("motor", speed=OMEGA_N), 3,
+                       "resonance: motor speed 9532.69 rad/s is within 1e-03 of the brush "
+                       "resonance 9532.69 rad/s"),
+    # E = 2e5 Pa: a stick-phase angle of ~99 rad against a 0.6 rad inclination
+    "overswinging-brush": ("predict-r1", changed("brush", young_modulus="2e5"), 4,
+                           "model domain: stick-phase angle 99.0403 rad exceeds brush "
+                           "inclination 0.6 rad"),
+    "tipping-body": ("simulate-r2", {**changed("robot", pivot_inertia="1e-6", gravity_arm="0"),
+                                     "motor": dict(eccentric_mass="0.01", eccentricity="0.01",
+                                                   speed="300")}, 4,
+                     "model domain: body angle 9.42478 rad exceeds pi/2 at t = 0.010472 s"),
+}
 
 
 def readme_config_table():
@@ -147,33 +270,6 @@ class TestConfigParsing:
         }
         with pytest.raises(ConfigError, match="not both"):
             load_config(write_config(tmp_path, sections))
-
-    # each message through the CLI: exit 2, nothing on stdout, no --out file
-    @pytest.mark.parametrize(
-        "sections, error",
-        [
-            pytest.param({"DEFAULT": {"speed": "300.0"}},
-                         "[DEFAULT] section is not supported", id="default-section"),
-            pytest.param({"DEFAULT": {}}, "[DEFAULT] section is not supported",
-                         id="bare-default-section"),
-            pytest.param({"sweep": dict(parameter="omega", objective="k_theta",
-                                        start="100", stop="300")},
-                         "[sweep] needs grid= or all of start=, stop=, points=",
-                         id="range-without-points"),
-            pytest.param({"sweep": dict(parameter="omega", objective="k_theta", grid="")},
-                         "sweep grid must contain at least one value", id="empty-grid"),
-            pytest.param({"sweep": dict(parameter="omega", objective="k_theta",
-                                        start="100", stop="300", points="2.5")},
-                         "value '2.5' for 'points' in [sweep] is not an integer",
-                         id="fractional-points"),
-        ],
-    )
-    def test_config_error_exits_2_with_its_message(self, tmp_path, capsys, sections, error):
-        path = write_config(tmp_path, {**sections, **FULL})
-        out_path = tmp_path / "sweep.csv"
-        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
-        assert (code, out, err) == (2, "", f"error: {error}\n")
-        assert not out_path.exists()
 
     def test_sweep_explicit_grid(self, tmp_path):
         sections = {
@@ -264,33 +360,6 @@ class TestPredictR1:
         assert payload["v_r"] == 0.0
         assert payload["regime1_valid"] is True
 
-    def test_resonant_speed_exits_3(self, tmp_path, capsys):
-        brush = BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)
-        omega_n = regime1.natural_frequency(brush)
-        sections = {**FULL, "motor": {**MOTOR_SECTION, "speed": repr(omega_n)}}
-        path = write_config(tmp_path, sections)
-        code, _, err = run_cli(capsys, ["predict-r1", "--config", path])
-        assert code == 3
-        assert "resonance" in err
-
-    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
-    def test_overswinging_brush_exits_4(self, tmp_path, capsys, form):
-        # E = 2e5 Pa: a stick-phase angle of ~99 rad against a 0.6 rad inclination
-        sections = {**FULL, "brush": {**BRUSH_SECTION, "young_modulus": "2e5"}}
-        path = write_config(tmp_path, sections)
-        code, out, err = run_cli(capsys, ["predict-r1", "--config", path, *form])
-        assert code == 4
-        assert out == ""
-        assert err.startswith("error: model domain: stick-phase angle 99.")
-        assert err.endswith(" rad exceeds brush inclination 0.6 rad\n")
-
-    def test_missing_robot_section_exits_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"brush": BRUSH_SECTION, "motor": MOTOR_SECTION})
-        code, _, err = run_cli(capsys, ["predict-r1", "--config", path])
-        assert code == 2
-        assert "robot" in err
-
-
 class TestSimulateR2:
     def test_header_and_columns(self, tmp_path, capsys):
         path = write_config(tmp_path, FULL)
@@ -380,36 +449,6 @@ class TestSimulateR2:
             for s in samples
         )
         assert out_path.read_bytes() == expected.encode("utf-8")
-
-    def test_model_domain_exits_4(self, tmp_path, capsys):
-        sections = {
-            **FULL,
-            "robot": {**ROBOT_SECTION, "pivot_inertia": "1e-6", "gravity_arm": "0"},
-            "motor": dict(eccentric_mass="0.01", eccentricity="0.01", speed="300"),
-        }
-        path = write_config(tmp_path, sections)
-        out_path = tmp_path / "t.txt"
-        out_path.write_bytes(EARLIER_OUT)
-        code, out, err = run_cli(
-            capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
-        )
-        assert code == 4
-        assert "model domain" in err
-        assert out == ""
-        assert out_path.read_bytes() == EARLIER_OUT  # found before --out opened
-
-    def test_dt_above_a_200th_period_exits_2(self, tmp_path, capsys):
-        sections = {**FULL, "sim": {**SIM_SECTION, "dt": "2e-4"}}
-        path = write_config(tmp_path, sections)
-        out_path = tmp_path / "t.txt"
-        out_path.write_bytes(EARLIER_OUT)
-        code, out, err = run_cli(
-            capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: dt 0.0002 exceeds T/200 = 0.00010472 s\n"
-        assert out_path.read_bytes() == EARLIER_OUT
 
     def test_writes_in_constant_memory(self, tmp_path, capsys):
         # 50,000 samples: holding them all would take ~8 MB
@@ -582,8 +621,7 @@ class TestSweepCommand:
         assert lines[-1] == "# argmax=400.0"
 
     def test_resonance_rows_flagged(self, tmp_path, capsys):
-        brush = BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)
-        omega_n = regime1.natural_frequency(brush)
+        omega_n = float(OMEGA_N)
         grid = f"{0.5 * omega_n!r},{omega_n!r},{2.0 * omega_n!r}"
         sections = {
             "brush": BRUSH_SECTION,
@@ -637,18 +675,6 @@ class TestSweepCommand:
         assert payload["rows"] == 3
         assert payload["argmax"] == 300.0
 
-    @pytest.mark.parametrize("missing", ["robot", "sim"])
-    def test_v_r_regime2_without_robot_or_sim_exits_2(self, tmp_path, capsys, missing):
-        sweep = dict(parameter="omega", objective="v_r_regime2", grid="250, 300")
-        sections = {name: keys for name, keys in FULL.items() if name != missing}
-        path = write_config(tmp_path, {**sections, "sweep": sweep})
-        out_path = tmp_path / "sweep.csv"
-        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
-        assert code == 2
-        assert out == ""
-        assert err == "error: objective v_r_regime2 needs robot and sim parameters\n"
-        assert not out_path.exists()
-
     def test_points_above_the_cap_exit_2_before_the_grid_is_built(self, tmp_path):
         # Under a 400 MB address-space limit a 1e9-point grid fails with
         # MemoryError; the cap refuses the range before building anything.
@@ -656,6 +682,7 @@ class TestSweepCommand:
                      points="1000000000")
         path = write_config(tmp_path, {**FULL, "sweep": sweep})
         out_path = tmp_path / "sweep.csv"
+        out_path.write_bytes(EARLIER_OUT)
         code = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
@@ -666,10 +693,8 @@ class TestSweepCommand:
             [sys.executable, "-c", code, "sweep", "--config", path, "--out", str(out_path)],
             capture_output=True, text=True, env=SRC_ENV, timeout=60,
         )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == ""
-        assert proc.stderr == "error: sweep range needs at most 1e+06 points\n"
-        assert not out_path.exists()
+        assert_failed((proc.returncode, proc.stdout, proc.stderr), 2,
+                      "sweep range needs at most 1e+06 points", out_path)
 
     def test_csv_byte_determinism(self, tmp_path, capsys):
         sections = {
@@ -888,62 +913,6 @@ class TestEntryPoint:
 
 
 class TestNonFiniteValues:
-    # 1e400 parses to inf; every command must refuse it as a config error
-    @pytest.mark.parametrize(
-        "command, section, key",
-        [
-            ("predict-r1", "brush", "brush_mass"),
-            ("classify", "brush", "brush_mass"),
-            ("predict-r1", "motor", "speed"),
-            ("classify", "motor", "speed"),
-            ("simulate-r2", "sim", "t_end"),
-        ],
-    )
-    def test_overflowing_value_exits_2(self, tmp_path, capsys, command, section, key):
-        sections = {**FULL, section: {**FULL[section], key: "1e400"}}
-        path = write_config(tmp_path, sections)
-        argv = [command, "--config", path]
-        if command == "simulate-r2":
-            argv += ["--out", str(tmp_path / "traj.txt")]
-        code, out, err = run_cli(capsys, argv)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {key} must be finite\n"
-
-    def test_overflowed_stick_phase_angle_exits_2(self, tmp_path, capsys):
-        # the force m*omega^2*r overflows; it is not an overswing (exit 4)
-        sections = {**FULL, "motor": {**MOTOR_SECTION, "eccentric_mass": "1e308"}}
-        code, out, err = run_cli(capsys, ["predict-r1", "--config",
-                                          write_config(tmp_path, sections)])
-        assert (code, out, err) == (2, "", "error: arithmetic overflow: "
-                                           "stick-phase angle is inf\n")
-
-    def test_grid_count_overflowing_the_float_range_exits_2(self, tmp_path, capsys):
-        sections = {**FULL, "sim": {**SIM_SECTION, "t_end": "1e300", "dt": "1e-10"}}
-        path = write_config(tmp_path, sections)
-        out_path = tmp_path / "traj.txt"
-        code, out, err = run_cli(
-            capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: t_end / dt must be finite\n"
-        assert not out_path.exists()
-
-    def test_huge_window_exits_2(self, tmp_path, capsys):
-        # finite t_end / dt, but ~1e302 forcing periods to walk
-        sections = {**FULL, "sim": {**SIM_SECTION, "t_end": "1e300"}}
-        path = write_config(tmp_path, sections)
-        out_path = tmp_path / "traj.txt"
-        out_path.write_bytes(EARLIER_OUT)
-        code, out, err = run_cli(
-            capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: t_end / dt exceeds 1e+07 grid steps\n"
-        assert out_path.read_bytes() == EARLIER_OUT
-
     def test_huge_window_sweep_rows_are_invalid(self, tmp_path, capsys):
         sections = {
             **FULL,
@@ -958,90 +927,13 @@ class TestNonFiniteValues:
         rows = out_path.read_text(encoding="utf-8").splitlines()
         assert rows[1:] == ["omega,250.0,,invalid", "omega,300.0,,invalid", "# argmax=nan"]
 
-    @pytest.mark.parametrize(
-        "grid",
-        [dict(grid="250, inf"), dict(start="100", stop="1e400", points="5", spacing="log")],
-        ids=["grid", "range"],
-    )
-    def test_infinite_sweep_grid_value_exits_2(self, tmp_path, capsys, grid):
-        sweep = dict(parameter="omega", objective="v_r_regime2", **grid)
-        path = write_config(tmp_path, {**FULL, "sweep": sweep})
-        out_path = tmp_path / "sweep.csv"
-        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
-        assert code == 2
-        assert out == ""
-        assert err == "error: grid value inf out of domain for parameter 'omega'\n"
-        assert not out_path.exists()
-
-    # a linear span that overflows spaces the grid by an infinite step; the
-    # error names the endpoint that was written, not the nan first point. A
-    # log range whose stop / start overflows names both of its ends.
-    @pytest.mark.parametrize(
-        "spacing, start, stop, error",
-        [
-            pytest.param("linear", "100", "1e400", "grid value inf out of domain for "
-                         "parameter 'omega'", id="100-1e400-inf"),
-            pytest.param("linear", "-1e400", "100", "grid value -inf out of domain for "
-                         "parameter 'omega'", id="-1e400-100--inf"),
-            pytest.param("linear", "-1e308", "1e308", "grid value -1e+308 out of domain for "
-                         "parameter 'omega'", id="-1e308-1e308--1e+308"),
-            pytest.param("log", "1e-200", "1e200", "log spacing from 1e-200 to 1e+200 "
-                         "overflows: stop / start exceeds the float range", id="log-both-ends"),
-            pytest.param("log", "5e-324", "1", "log spacing from 5e-324 to 1.0 "
-                         "overflows: stop / start exceeds the float range", id="log-subnormal"),
-        ],
-    )
-    def test_overflowing_linear_range_names_an_endpoint(
-        self, tmp_path, capsys, spacing, start, stop, error
-    ):
-        sweep = dict(parameter="omega", objective="k_theta", start=start, stop=stop,
-                     points="5", spacing=spacing)
-        path = write_config(tmp_path, {**FULL, "sweep": sweep})
-        out_path = tmp_path / "sweep.csv"
-        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {error}\n"
-        assert not out_path.exists()
-
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(config_text(FULL).replace("300.0", "300.0\xb0").encode("latin-1"))
-        code, out, err = run_cli(capsys, ["classify", "--config", str(path)])
-        assert code == 2
-        assert out == ""
+        _, _, err = result = run_cli(capsys, ["classify", "--config", str(path)])
+        assert_failed(result, 2)
         assert err.startswith(f"error: cannot read config file {str(path)!r}: ")
         assert "can't decode byte 0xb0" in err
-
-    # speed = 1e300 is finite but its square overflows in regime1, and
-    # classify computes lift_ratio = inf. length = 1e-200 and young_modulus =
-    # 5e-324 are positive, but length**2 or EI underflows to 0, a zero divisor.
-    # Each message names the quantity and its value.
-    @pytest.mark.parametrize(
-        "command, change, message",
-        [
-            pytest.param("predict-r1", ("motor", "speed", "1e300"),
-                         "overflow: speed**2 overflows at speed = 1e+300", id="predict-r1"),
-            pytest.param("classify", ("motor", "speed", "1e300"),
-                         "overflow: lift_ratio is inf", id="classify"),
-            *(
-                pytest.param(command, ("brush", key, value), f"underflow: {message}",
-                             id=f"{command}-{key}")
-                for command in ("predict-r1", "classify")
-                for key, value, message in (
-                    ("length", "1e-200", "length**2*cos(inclination) is 0 at length = 1e-200"),
-                    ("young_modulus", "5e-324",
-                     "k_theta/I_theta = 0.0/2.0000000000000002e-07 is 0 or undefined"),
-                )
-            ),
-        ],
-    )
-    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
-    def test_overflowing_result_exits_2(self, tmp_path, capsys, command, change, message, form):
-        section, key, value = change
-        path = write_config(tmp_path, {**FULL, section: {**FULL[section], key: value}})
-        code, out, err = run_cli(capsys, [command, "--config", path, *form])
-        assert (code, out, err) == (2, "", f"error: arithmetic {message}\n")
 
     # A sweep point that leaves the float range is an invalid row, and the
     # other rows and the argmax stand. Over l: l = 1e-200 underflows l**2 to
@@ -1065,7 +957,7 @@ class TestNonFiniteValues:
             ),
         ],
     )
-    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
+    @FORMS
     def test_sweep_point_leaving_the_float_range_is_an_invalid_row(
         self, tmp_path, capsys, brush, sweep, statuses, form
     ):
@@ -1091,12 +983,35 @@ class TestNonFiniteValues:
         assert sweep_summary(out, form) == summary
 
 
+class TestFailingRuns:
+    @pytest.mark.parametrize("case", list(FAILING_RUNS))
+    @FORMS
+    def test_run_exits_with_its_code_and_one_error_line(self, tmp_path, capsys, case, form):
+        command, sections, code, error = FAILING_RUNS[case]
+        out_path = tmp_path / "out.txt"
+        out_path.write_bytes(EARLIER_OUT)
+        argv = [command, "--config", write_config(tmp_path, sections), *form]
+        argv += ["--out", str(out_path)] if command in WRITERS else []
+        assert_failed(run_cli(capsys, argv), code, error, out_path)
+
+    # an --out that cannot be opened is an OSError: exit 2 with its errno line
+    @pytest.mark.parametrize("command", WRITERS)
+    @pytest.mark.parametrize("name, number", [("missing/out.txt", errno.ENOENT),
+                                              ("", errno.EISDIR)],
+                             ids=["missing-directory", "directory"])
+    @FORMS
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command, name, number, form):
+        out = str(tmp_path / name)
+        path = write_config(tmp_path, omega_sweep("k_theta", grid="100"))
+        assert_failed(run_cli(capsys, [command, "--config", path, "--out", out, *form]), 2,
+                      f"[Errno {number}] {os.strerror(number)}: {out!r}")
+
+
 class TestFailureTable:
     """One input per error class in sweep.FAILURES, run as a one-point sweep
     and, where a command can raise it, as a single CLI command: the row
     status, the exit code and the stderr label are the documented ones."""
 
-    OMEGA_N = repr(regime1.natural_frequency(BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)))
     # class -> (row status, exit code, stderr label), the command and the
     # (section, key, value) of the single run, and the sweep parameter, grid
     # value and objective of the same input. No command raises
@@ -1200,19 +1115,22 @@ class TestFuzz:
         return tuple(cls.malformed(rng) for _ in range(cls.CONFIGS))
 
     def test_malformed_configs_end_in_documented_exit_codes(self, tmp_path, capsys):
-        path = tmp_path / "fuzz.cfg"
-        out = str(tmp_path / "out.txt")
+        # a failing run keeps to assert_failed; one that succeeds prints no error
+        path, out_path = tmp_path / "fuzz.cfg", tmp_path / "out.txt"
         codes = []
         for index, config in enumerate(self.corpus()):
             path.write_bytes(config)
             for command in ("predict-r1", "classify", "simulate-r2", "sweep"):
+                out_path.write_bytes(EARLIER_OUT)
                 argv = [command, "--config", str(path)]
-                if command in ("simulate-r2", "sweep"):
-                    argv += ["--out", out]
-                code = main(argv)
-                assert code in (0, 2, 3, 4), (index, command, path.read_bytes())
+                argv += ["--out", str(out_path)] if command in WRITERS else []
+                code, _, err = result = run_cli(capsys, argv)
+                assert code in (0, 2, 3, 4), (index, command, config)
+                if code:
+                    assert_failed(result, code, out_path=out_path)
+                else:
+                    assert err == "", (index, command, config)
                 codes.append(code)
-            capsys.readouterr()
         assert {0, 2} <= set(codes)
 
     # Flights that are flat over many floats: motor off from a subnormal
@@ -1244,7 +1162,7 @@ class TestFuzz:
         try:
             for command in ("predict-r1", "classify", "simulate-r2", "sweep"):
                 argv = [command, "--config", path]
-                if command in ("simulate-r2", "sweep"):
+                if command in WRITERS:
                     argv += ["--out", out]
                 signal.setitimer(signal.ITIMER_REAL, self.SECONDS)
                 code = main(argv)
