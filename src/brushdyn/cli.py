@@ -7,11 +7,11 @@ each library error to its code. All output is deterministic: the same
 config produces byte-identical results on every run.
 
 `main` runs every command in one order: load the config, compute (a
-`cmd_*` handler reads only the config and prints nothing), write `--out`
-if the command takes it (the writer may return pairs measured from what it
-wrote), print to stdout. A run that fails before the write leaves `--out`
-untouched. `simulate-r2` writes each block of at most `regime2._BLOCK`
-samples as `regime2.stream` yields it.
+`cmd_*` handler reads only the config and prints nothing), refuse a
+result that overflowed, write `--out` if the command takes it, print to
+stdout. Every failure comes before the write, so a run that fails leaves
+`--out` untouched. `simulate-r2` writes each block of at most
+`regime2._BLOCK` samples as `regime2.stream` yields it.
 """
 
 from __future__ import annotations
@@ -43,11 +43,7 @@ def _fmt(value) -> str:
 
 def _emit(pairs: list[tuple[str, object]], as_json: bool, separator: str) -> None:
     """Print `name<separator>value` lines, a list as indented lines under its
-    name, or one JSON object. Refuse a result that overflowed to inf or nan
-    first: JSON cannot carry one, and the table form exits the same way."""
-    for name, value in pairs:
-        if isinstance(value, float) and not math.isfinite(value):
-            raise OverflowError(f"{name} is {value!r}")
+    name, or one JSON object."""
     if as_json:
         import json  # here, not at the top: every CLI start would pay for it
         print(json.dumps(dict(pairs), allow_nan=False))
@@ -69,8 +65,9 @@ def cmd_predict_r1(cfg: RunConfig) -> tuple:
 
 def cmd_simulate_r2(cfg: RunConfig) -> tuple:
     traj = regime2.stream(cfg.robot, cfg.motor, cfg.sim)  # raises before --out opens
+    t, x = traj.end  # the last sample's
 
-    def write(handle) -> list:
+    def write(handle) -> None:
         handle.write(TRAJECTORY_HEADER + "\n")
         for t, theta, theta_dot, theta_ddot, x in traj.samples:  # one write per block
             if theta is None:  # at rest
@@ -80,14 +77,10 @@ def cmd_simulate_r2(cfg: RunConfig) -> tuple:
                 end = f" {x!r}\n"
                 handle.write("".join([f"{a!r} {b!r} {c!r} {d!r}{end}"
                                       for a, b, c, d in zip(t, theta, theta_dot, theta_ddot)]))
-        t = t[-1]  # the last sample's
-        return [("mean_v_r", x / t if t > 0.0 else 0.0)]
 
-    cycles = len(traj.cycles)
-    return [
-        ("cycles", cycles),
-        ("peak_angle", regime2.peak_angle(traj) if cycles else None),
-    ], write
+    peak = regime2.peak_angle(traj) if traj.cycles else None
+    return [("cycles", len(traj.cycles)), ("peak_angle", peak),
+            ("mean_v_r", x / t if t > 0.0 else 0.0)], write
 
 
 def cmd_classify(cfg: RunConfig) -> tuple:
@@ -113,7 +106,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
 # Command -> (handler, config sections it needs, what --out holds or None
 # when it writes no file, table separator between name and value, help text).
 # A handler returns its (name, value) pairs and, when --out is taken, the
-# function that writes the file body to an open handle (and its own pairs).
+# function that writes the file body to an open handle.
 _COMMANDS = {
     "predict-r1": (cmd_predict_r1, ("brush", "motor", "robot"), None, " ",
                    "flexible-brush closed-form prediction table"),
@@ -153,9 +146,12 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(cfg, name) is None:
                 raise ConfigError(f"missing [{name}] section in config")
         pairs, write = handler(cfg)
+        for name, value in pairs:  # JSON cannot carry inf or nan; the table exits alike
+            if isinstance(value, float) and not math.isfinite(value):
+                raise OverflowError(f"{name} is {value!r}")
         if write is not None:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                pairs += write(handle) or []
+                write(handle)
             pairs.append(("out", args.out))
         _emit(pairs, args.json, separator)
     except (ConfigError, OSError) as exc:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterator, NamedTuple
 
 from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
@@ -44,6 +44,7 @@ _MIN_FLIGHT_FRACTION = 1e-12
 # holds (~2 GB at this cap) and ``stream`` yields in blocks of at most _BLOCK.
 MAX_GRID_STEPS = 10**7
 _BLOCK = 128  # most samples in one block of ``stream``
+_HORIZON = MAX_GRID_STEPS / 200  # periods steady_speed flies: the longest window, at T/200
 
 
 class NoCompletedCycleError(ValueError):
@@ -99,10 +100,12 @@ class Regime2Trajectory(NamedTuple):
     samples  time-ordered: Samples from simulate, column blocks from stream
     cycles   one Cycle per completed flight, in time order: its lift-off and
              touchdown times, s, and its peak angle, rad
+    end      (t, x) of the last sample, s and m
     """
 
     samples: tuple[Sample, ...] | Iterator[tuple]
     cycles: tuple[Cycle, ...]
+    end: tuple[float, float]
 
 
 def _starts(rho: float, omega: float) -> tuple[tuple, tuple]:
@@ -150,6 +153,10 @@ class _Flight:
 
     def lift_off(self, k: int) -> float:
         return (TWO_PI * k + self.psi0) / self.omega
+
+    def hop(self, duration: float) -> int:
+        """Periods from a lift-off from rest to the next, after this long a flight."""
+        return max(1, math.ceil(duration * self.omega / TWO_PI))
 
     def root(self, lo: float, hi: float, angle: float, above: bool, peak: bool) -> tuple:
         """(r, theta(r)), r the end on hi's side of the adjacent floats around
@@ -209,7 +216,7 @@ class _Flight:
         and pi - rise, theta is monotone between zeros of theta_dot. Values at
         bracket ends carry over. (math.inf, None) if airborne at ``limit``;
         the peak is None also for a flight too short to be a cycle, else in
-        [0, pi/2): an angle at pi/2 or beyond raises ModelDomainError.
+        [0, pi/2): ModelDomainError names the bisected time theta reaches pi/2.
         """
         c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
         lifts, rise = self.lifts, self.rise
@@ -234,9 +241,12 @@ class _Flight:
                     duration = self.root(p, q, angle, start > 0.0, False)[0]
                     short = duration < _MIN_FLIGHT_FRACTION * (TWO_PI / omega)
                     return duration, None if short else peak
-                if rising and angle >= MAX_BODY_ANGLE:
-                    raise ModelDomainError(f"body angle {angle:.6g} rad exceeds pi/2 "
-                                           f"at t = {lift_off + q:.6g} s")
+                if rising and angle >= MAX_BODY_ANGLE:  # theta rises through pi/2 on (p, q]
+                    while p < (s := 0.5 * (p + q)) < q:
+                        sine = math.sin(psi0 + omega * s)
+                        up = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
+                        p, q = (p, s) if up >= MAX_BODY_ANGLE else (s, q)
+                    raise ModelDomainError(f"body angle exceeds pi/2 at t = {lift_off + q:.6g} s")
                 if rising and v_q <= 0.0 and angle > peak:  # theta_dot(q) is on v_q's side
                     peak = angle
                 p = q
@@ -246,6 +256,13 @@ class _Flight:
 
 def _steps(cfg: SimConfig) -> int:
     return math.floor(cfg.t_end / cfg.dt + 1e-9)
+
+
+def _flight(robot: RobotParams, motor: MotorParams, theta0: float) -> _Flight:
+    """The flight from (theta0, rate 0) under c_f = m*omega^2*r*w/I_P, c_g = M*g*w_G/I_P."""
+    c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
+    c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
+    return _Flight(c_force, c_grav, motor.speed, theta0)
 
 
 def _flights(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Iterator[tuple]:
@@ -265,27 +282,23 @@ def _flights(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Iterator
     if steps > MAX_GRID_STEPS:
         raise ValidationError(f"t_end / dt exceeds {MAX_GRID_STEPS:.6g} grid steps")
 
-    omega = motor.speed
-    c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
-    c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
-    end = steps * cfg.dt
-    at_rest = 0.0
+    end, at_rest = steps * cfg.dt, 0.0
     if cfg.theta0 > 0.0:
-        flight = _Flight(c_force, c_grav, omega, cfg.theta0)
+        flight = _flight(robot, motor, cfg.theta0)
         at_rest, peak = flight.land(0.0, end)  # a touchdown is at most end
         yield flight, 0.0, at_rest, peak
-    if not (c_grav < c_force and at_rest < end):
+    flight = _flight(robot, motor, 0.0)
+    if not (flight.lifts and at_rest < end):
         return  # no lift-off from rest inside the window
 
     # Lift-offs from rest sit on the rising zeros (2*pi*k + rise)/omega of the
     # net moment, the first at or after at_rest >= 0; rise < pi/2 gives k >= 0.
-    flight = _Flight(c_force, c_grav, omega, 0.0)
-    k = math.ceil((omega * at_rest - flight.rise) / TWO_PI)
+    k = math.ceil((motor.speed * at_rest - flight.rise) / TWO_PI)
     t = flight.lift_off(k)
     duration, peak = flight.land(t, end - t)  # (math.inf, None) if t >= end
     while t < end and t + duration <= end:
         yield flight, t, duration, peak
-        k += max(1, math.ceil(duration * omega / TWO_PI))  # the periods per hop
+        k += flight.hop(duration)
         t = flight.lift_off(k)
     if t < end:
         yield flight, t, math.inf, None
@@ -342,8 +355,8 @@ def _blocks(cfg: SimConfig, flights: list, xs: Iterator[float]) -> Iterator[tupl
 
 def stream(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Regime2Trajectory:
     """``simulate`` with samples yielded one block of at most _BLOCK at a time,
-    laid out as _blocks says. It lists every flight and each touchdown's x at
-    the call, so it raises there what simulate raises, before any block is read."""
+    laid out as _blocks says. It lists every flight, each touchdown's x and the
+    end at the call, so it raises there what simulate raises, before any block."""
     flights = list(_flights(robot, motor, cfg))
     cycles = tuple(Cycle(t, t + duration, peak)
                    for _, t, duration, peak in flights if peak is not None)
@@ -351,7 +364,9 @@ def stream(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Regime2Tra
     xs = list(accumulate(step_displacement(robot, peak) for *_, peak in cycles))
     if math.inf in xs:
         raise OverflowError(f"x is inf after {xs.index(math.inf) + 1} cycles")
-    return Regime2Trajectory(_blocks(cfg, flights, iter(xs)), cycles)
+    last = _steps(cfg) // cfg.record_stride * cfg.record_stride * cfg.dt  # _blocks' last grid time
+    end = (max(last, cycles[-1].touchdown), xs[-1]) if cycles else (last, 0.0)
+    return Regime2Trajectory(_blocks(cfg, flights, iter(xs)), cycles, end)
 
 
 def simulate(
@@ -393,15 +408,15 @@ def step_displacement(robot: RobotParams, theta_hat: float) -> float:
     return robot.step_height * math.sin(theta_hat)
 
 
-def steady_speed(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> float:
+def steady_speed(robot: RobotParams, motor: MotorParams) -> float:
     """h*sin(peak)/(n*T), the steady speed ``simulate`` implies: one step of the flight
-    from rest per hop of n = max(1, ceil(duration*omega/(2*pi))) periods. It lands
-    only the first flight from rest, after a tilted start's, so it costs one flight
-    (two if theta0 > 0) whatever the window length. Raises what simulate raises, and
-    NoCompletedCycleError when that flight is not a cycle inside the window."""
-    rest = islice(_flights(robot, motor, cfg), int(cfg.theta0 > 0.0), None)  # after a tilted start
-    _, _, duration, peak = next(rest, (None,) * 4)
+    from rest per hop of n periods (_Flight.hop). It lands that one flight, which no
+    window enters, within _HORIZON forcing periods. Raises ModelDomainError if the
+    body tips over, and NoCompletedCycleError if it never lifts from rest (c_g >= c_f)
+    or that flight is not a cycle by the horizon."""
+    flight = _flight(robot, motor, 0.0)
+    horizon = _HORIZON * motor.period
+    duration, peak = flight.land(flight.lift_off(0), horizon) if flight.lifts else (0.0, None)
     if peak is None:
-        raise NoCompletedCycleError("no flight from rest lands inside the window")
-    hop = max(1, math.ceil(duration * motor.speed / TWO_PI))
-    return step_displacement(robot, peak) / (hop * motor.period)
+        raise NoCompletedCycleError(f"no flight from rest lands within {_HORIZON:g} periods")
+    return step_displacement(robot, peak) / (flight.hop(duration) * motor.period)

@@ -55,15 +55,9 @@ PARAMETERS: dict[str, tuple[Callable[[float], bool], Callable]] = {
     # unchecked: _positive is MotorParams' speed check, and m's other fields are valid
     "omega": (_positive, lambda v, b, m: (
         b, tuple.__new__(MotorParams, (m.eccentric_mass, m.eccentricity, v)))),
-    "alpha": (
-        lambda v: 0.0 < v < math.pi / 2.0,
-        lambda v, b, m: (b._replace(inclination=v), m),
-    ),
+    "alpha": (lambda v: 0.0 < v < math.pi / 2.0, lambda v, b, m: (b._replace(inclination=v), m)),
     "l": (_positive, lambda v, b, m: (b._replace(length=v), m)),
-    "EI": (
-        _positive,
-        lambda v, b, m: (b._replace(young_modulus=v / b.second_area_moment), m),
-    ),
+    "EI": (_positive, lambda v, b, m: (b._replace(young_modulus=v / b.second_area_moment), m)),
     "M_b": (_positive, lambda v, b, m: (b._replace(brush_mass=v), m)),
 }
 
@@ -71,7 +65,7 @@ PARAMETERS: dict[str, tuple[Callable[[float], bool], Callable]] = {
 # Objective name -> f(brush, motor, robot, sim).
 OBJECTIVES: dict[str, Callable[..., float]] = {
     "v_r_regime1": lambda b, m, *_: regime1.ground_speed(b, m),
-    "v_r_regime2": lambda b, m, r, s: regime2.steady_speed(r, m, s),
+    "v_r_regime2": lambda b, m, r, s: regime2.steady_speed(r, m),
     "forced_amplitude_abs": lambda b, m, *_: abs(regime1.forced_amplitude(b, m)),
     "k_theta": lambda b, *_: regime1.lumped_stiffness(b),
 }
@@ -105,15 +99,8 @@ class SweepSpec(NamedTuple):
             raise ValidationError("sweep grid must be strictly increasing")
 
     @classmethod
-    def from_range(
-        cls,
-        parameter: str,
-        objective: str,
-        start: float,
-        stop: float,
-        points: int,
-        spacing: str = "linear",
-    ) -> "SweepSpec":
+    def from_range(cls, parameter: str, objective: str, start: float, stop: float,
+                   points: int, spacing: str = "linear") -> "SweepSpec":
         """Build a grid of >= 2 points with linear or log spacing."""
         if points < 2:
             raise ValidationError("sweep range needs at least 2 points")
@@ -168,11 +155,10 @@ def run_sweep(
     Rows come back in grid order; grid points are independent, so the result
     does not depend on evaluation order. argmax is the parameter value of the
     best ok row (the first of equal best rows), or None if no point evaluated.
+    No objective reads sim: it stays for callers that pass it.
     """
-    if spec.objective == "v_r_regime2" and (robot is None or sim is None):
-        raise ValidationError(
-            "objective v_r_regime2 needs robot and sim parameters"
-        )
+    if spec.objective == "v_r_regime2" and robot is None:
+        raise ValidationError("objective v_r_regime2 needs robot parameters")
     _, apply = PARAMETERS[spec.parameter]
     # tuple.__new__ builds each SweepRow without its Python-level __new__
     evaluate, new = OBJECTIVES[spec.objective], tuple.__new__

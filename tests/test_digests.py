@@ -30,3 +30,11 @@ def test_recorded_runs_are_the_runs_the_recorder_makes():
     recorded = json.loads(FILE.read_text(encoding="utf-8"))
     assert runs() == {name: {key: value for key, value in run.items() if key not in FIELDS}
                       for name, run in recorded.items()}
+
+
+def test_v_r_regime2_sweep_without_sim_records_the_bytes_of_the_one_with_it():
+    # no [sim] section enters v_r_regime2, so dropping it changes no byte
+    recorded = json.loads(FILE.read_text(encoding="utf-8"))
+    with_sim, without = (recorded[f"sweep v_r_regime2 reference.cfg{suffix}"]
+                         for suffix in ("", " without [sim]"))
+    assert {key: without[key] for key in FIELDS} == {key: with_sim[key] for key in FIELDS}

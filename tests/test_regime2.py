@@ -1,6 +1,7 @@
 """Hybrid pivot-rotation simulator: events, resets, displacement accounting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,8 +276,10 @@ class TestWindow:
         traj = regime2.simulate(reference_robot, reference_motor, cfg)
         ((lift_off, touchdown, peak),) = traj.cycles
         assert peak == 0.20815568964720926
-        with pytest.raises(NoCompletedCycleError):  # no steady hop from rest
-            regime2.steady_speed(reference_robot, reference_motor, cfg)
+        # no window enters the steady hop: the reference window's, 2 periods
+        reference = regime2.simulate(reference_robot, reference_motor, SimConfig(0.5, 1e-4))
+        step = regime2.step_displacement(reference_robot, reference.cycles[-1].peak)
+        assert regime2.steady_speed(reference_robot, reference_motor) == step / (2 * period)
         assert lift_off == 0.0 and 4.0 * period < touchdown < 4.2 * period
         after = [s for s in traj.samples if s.t >= touchdown]
         assert len(after) > 300
@@ -764,8 +767,9 @@ class TestCycleCount:
         except ModelDomainError:
             with pytest.raises(ModelDomainError):
                 regime2.simulate(robot, motor, cfg)
-            with pytest.raises(ModelDomainError):
-                regime2.steady_speed(robot, motor, cfg)
+            if cfg.theta0 == 0.0:  # a flight from rest tipped over, in any window
+                with pytest.raises(ModelDomainError):
+                    regime2.steady_speed(robot, motor)
             return []
         flights = [  # every flight the walk yields, airborne last
             (t, t + duration, peak) for _, t, duration, peak in regime2._flights(robot, motor, cfg)
@@ -774,18 +778,17 @@ class TestCycleCount:
         cycles = [f for f in counted if f[2] is not None]
         traj = regime2.simulate(robot, motor, cfg)
         assert traj.cycles == tuple(cycles)
-        # the steady hop: the count's flights from rest, its lift-offs n periods apart
+        # the steady hop, where the window holds one: the count's flights from
+        # rest, their lift-offs n periods apart
         rest = counted[1:] if cfg.theta0 > 0.0 else counted
         if not any(peak is not None for *_, peak in rest):
-            with pytest.raises(NoCompletedCycleError):
-                regime2.steady_speed(robot, motor, cfg)
             return counted
         (lift_off, touchdown, peak), *after = rest
         if after:  # the next lift-off from rest, whole periods later
             periods = round((after[0][0] - lift_off) / motor.period)
         else:  # the next would lift off past the window end
             periods = max(1, math.ceil((touchdown - lift_off) / motor.period))
-        assert regime2.steady_speed(robot, motor, cfg) == (
+        assert regime2.steady_speed(robot, motor) == (
             regime2.step_displacement(robot, peak) / (periods * motor.period))
         return counted
 
@@ -807,6 +810,8 @@ class TestCycleCount:
             assert self.assert_matches_count(reference_robot, weak, cfg) == (
                 [] if theta0 == 0.0 else count_flights(reference_robot, weak, cfg)
             )
+        with pytest.raises(NoCompletedCycleError, match="no flight from rest"):
+            regime2.steady_speed(reference_robot, weak)
         runaway = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04)
         cfg = SimConfig(t_end=0.5, dt=1e-4)
         assert self.assert_matches_count(runaway, MotorParams(0.01, 0.01, 300.0), cfg) == []
@@ -847,6 +852,21 @@ class TestModelDomain:
         with pytest.raises(ModelDomainError):
             regime2.simulate(robot, motor, SimConfig(t_end=0.5, dt=1e-4))
 
+    @pytest.mark.parametrize("forcing_arm", [0.03, 0.05, 0.3])
+    def test_error_names_the_time_theta_crosses_pi_over_2(self, forcing_arm):
+        # with c_g = 0 the flight from rest is theta = swing*(u - sin u),
+        # u = omega*t: written out here, it is pi/2 at the time the error names
+        robot = RobotParams(0.05, 1e-6, forcing_arm, 0.0, 0.04)
+        motor = MotorParams(0.01, 0.01, 300.0)
+        swing = motor.force_amplitude * forcing_arm / robot.pivot_inertia / motor.speed**2
+        for call in (lambda: regime2.steady_speed(robot, motor),
+                     lambda: regime2.stream(robot, motor, SimConfig(0.5, 1e-4))):
+            with pytest.raises(ModelDomainError, match="exceeds pi/2") as error:
+                call()
+            (t,) = re.findall(r"at t = (\S+) s", str(error.value))
+            u = motor.speed * float(t)
+            assert swing * (u - math.sin(u)) == pytest.approx(math.pi / 2, rel=1e-5)
+
 
 class TestStream:
     """stream lists its flights at the call, so it raises there, before any
@@ -860,6 +880,21 @@ class TestStream:
     def test_window_errors_raise_at_the_call(self, reference_robot, reference_motor, cfg, match):
         with pytest.raises(ValidationError, match=match):
             regime2.stream(reference_robot, reference_motor, cfg)
+
+    def test_end_is_the_last_sample_of_simulate(self):
+        # stream knows its last sample before any block is read: a grid
+        # point, or a touchdown after the last one that a stride keeps
+        rng = np.random.default_rng(852)
+        touchdowns = 0
+        for index in range(150):
+            robot, motor, dt, theta0 = random_flights(rng)
+            stride = int(rng.choice((1, 3, 50, 5000)))
+            cfg = SimConfig(rng.uniform(5.0, 30.0) * motor.period, dt, theta0, stride)
+            traj = regime2.simulate(robot, motor, cfg)
+            last = traj.samples[-1]
+            assert regime2.stream(robot, motor, cfg).end == (last.t, last.x), index
+            touchdowns += bool(traj.cycles) and last.t == traj.cycles[-1].touchdown
+        assert touchdowns > 20
 
     @pytest.mark.parametrize("theta0", [0.0, 0.5])
     def test_runaway_raises_at_the_call(self, theta0):
@@ -879,6 +914,7 @@ class TestPeakAngle:
             samples=(Sample(0.0, 0.0, 0.0, 0.0, 0.0),),
             cycles=tuple(Cycle(0.01 * k, 0.01 * k + 0.005, peak)
                          for k, peak in enumerate((0.9, 0.05, 0.04, 0.02, 0.03))),
+            end=(0.045, 0.0),
         )
         # the last cycle is the steady one: neither the first (transient)
         # peak nor the largest of the last half
@@ -942,29 +978,27 @@ class TestSteadySpeed:
         # x steps at each touchdown; the first step is not a hop's time apart
         x = [s.x for s in traj.samples if s.t == last.touchdown][-1]
         per_hop = (x - x / len(traj.cycles)) / (last.lift_off - first.lift_off)
-        steady = regime2.steady_speed(reference_robot, motor, cfg)
+        steady = regime2.steady_speed(reference_robot, motor)
         assert steady == pytest.approx(per_hop, rel=1e-12, abs=0.0)
         once_per_period = speed * x / len(traj.cycles) / (2.0 * math.pi)
         assert steady * hops == pytest.approx(once_per_period, rel=1e-12, abs=0.0)
 
-    # A sweep point costs one flight whatever the window length: steady_speed
-    # lands the first flight from rest and lists none of the ones after it.
-    @pytest.mark.parametrize("periods", [5, 49_000])
-    @pytest.mark.parametrize("theta0", [0.0, 0.02])
-    def test_lands_one_flight_whatever_the_window_length(
-        self, reference_robot, reference_motor, monkeypatch, periods, theta0
+    # A sweep point costs one flight: steady_speed lands the first flight
+    # from rest, followed to the horizon at most, and no window enters.
+    def test_lands_one_flight_from_rest_within_the_horizon(
+        self, reference_robot, reference_motor, monkeypatch
     ):
-        calls, lift_off = [], regime2._Flight.lift_off
+        calls, land = [], regime2._Flight.land
 
-        def counted(flight, k):
-            calls.append(k)
-            return lift_off(flight, k)
+        def counted(flight, lift_off, limit):
+            calls.append((flight.terms[4], lift_off, limit))
+            return land(flight, lift_off, limit)
 
-        monkeypatch.setattr(regime2._Flight, "lift_off", counted)
-        period = reference_motor.period
-        cfg = SimConfig(periods * period, period / 200.0, theta0)
-        regime2.steady_speed(reference_robot, reference_motor, cfg)
-        assert 1 <= len(calls) <= 3
+        monkeypatch.setattr(regime2._Flight, "land", counted)
+        regime2.steady_speed(reference_robot, reference_motor)
+        horizon = regime2.MAX_GRID_STEPS / 200 * reference_motor.period
+        ((theta0, lift_off, limit),) = calls
+        assert theta0 == 0.0 and lift_off < reference_motor.period and limit == horizon
 
 
 class TestRecording:

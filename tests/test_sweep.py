@@ -175,15 +175,31 @@ class TestRunSweep:
         assert result.rows[1].objective > 0.0
         assert result.argmax == 300.0
 
-    def test_regime2_objective_flags_guard_violations(self, brush):
-        # at 10 rad/s the window is shorter than five forcing periods
+    def test_regime2_objective_passes_the_window_guards_by(self, brush):
+        # the window is shorter than five forcing periods at 10 rad/s, and
+        # its dt is above T/200 at 4000 rad/s; neither row reads invalid
         robot = reference_robot()
         motor = reference_motor()
         sim = SimConfig(t_end=0.5, dt=1e-4, record_stride=1000)
-        spec = SweepSpec("omega", "v_r_regime2", (10.0, 300.0))
+        spec = SweepSpec("omega", "v_r_regime2", (10.0, 300.0, 4000.0))
         result = run_sweep(spec, brush, motor, robot, sim)
-        assert result.rows[0].status == STATUS_INVALID
-        assert result.rows[1].status == STATUS_OK
+        statuses = [row.status for row in result.rows]
+        assert statuses == [STATUS_NO_CYCLES, STATUS_OK, STATUS_OK]  # 10 rad/s cannot lift
+
+    @pytest.mark.parametrize("sim", [
+        SimConfig(0.5, 1e-4),
+        SimConfig(1e-3, 1e-6, 0.3, 7),
+        SimConfig(1e300, 1e-4),
+        SimConfig(1e-300, 1e-300),
+    ], ids=["reference", "tilted-short", "huge", "tiny"])
+    def test_regime2_rows_are_the_same_under_any_window_and_none(self, brush, sim):
+        # rows below lift-off, hops of 1 to ~340 periods, and tip-overs up to 5e4 rad/s
+        spec = SweepSpec.from_range("omega", "v_r_regime2", 100.0, 5e4, 30, "log")
+        robot, motor = reference_robot(), reference_motor()
+        result = run_sweep(spec, brush, motor, robot, sim)
+        assert result == run_sweep(spec, brush, motor, robot)
+        statuses = {row.status for row in result.rows}
+        assert statuses == {STATUS_NO_CYCLES, STATUS_OK, STATUS_MODEL_DOMAIN}
 
     def test_regime2_objective_is_the_steady_hop_of_simulate(self, brush):
         # v_r_regime2 is the speed simulate implies: h*sin(peak) per hop from
@@ -222,22 +238,22 @@ class TestRunSweep:
             hops.add(round(gap / drawn_motor.period))
         assert min(hops) == 1 and max(hops) >= 50
 
-    def test_regime2_objective_needs_a_landed_hop_from_rest(self, brush):
+    def test_regime2_objective_needs_no_hop_from_rest_in_the_window(self, brush):
         # TestWindow's tilted flight lands alone; over 5.5 periods the flight
-        # from rest after it is airborne at the window end: no steady hop,
-        # though simulate counts the tilted flight as a cycle
+        # from rest after it is airborne at the window end. Neither window
+        # holds a hop from rest, and the objective is the reference window's
         objective = OBJECTIVES["v_r_regime2"]
         robot, motor = reference_robot(), reference_motor()
         period = motor.period
+        steady = objective(brush, motor, robot, SimConfig(0.5, 1e-4))
         for periods in (5.0, 5.5):
             window = SimConfig(periods * period, period / 400.0, 0.2)
             traj = regime2.simulate(robot, motor, window)
             assert len(traj.cycles) == 1 and (traj.samples[-1].theta > 0.0) == (periods > 5.0)
-            with pytest.raises(regime2.NoCompletedCycleError):
-                objective(brush, motor, robot, window)
+            assert objective(brush, motor, robot, window) == steady
             result = run_sweep(SweepSpec("omega", "v_r_regime2", (motor.speed,)),
                                brush, motor, robot, window)
-            assert result.rows == ((motor.speed, None, STATUS_NO_CYCLES),)
+            assert result.rows == ((motor.speed, steady, STATUS_OK),)
         lift = math.sqrt(robot.weight * robot.gravity_arm / (1e-3 * 2e-3 * robot.forcing_arm))
         with pytest.raises(regime2.NoCompletedCycleError):  # below lift-off
             objective(brush, MotorParams(1e-3, 2e-3, 0.9 * lift), robot, SimConfig(0.5, 1e-4))
@@ -247,7 +263,18 @@ class TestRunSweep:
         with pytest.raises(regime2.ModelDomainError):
             objective(brush, violent, runaway, SimConfig(0.5, 1e-4))
 
-    def test_regime2_objective_needs_robot_and_sim(self, brush, motor):
+    def test_regime2_point_airborne_at_the_horizon_is_no_cycles(self, brush):
+        # rho = c_g/c_f ~ 8e-7 at 1e5 rad/s: the flight from rest lifts off,
+        # and would land ~4e5 periods later, past the 5e4-period horizon
+        robot = reference_robot()._replace(gravity_arm=1e-9)
+        motor = MotorParams(1e-9, 2e-3, 1e5)
+        assert regime2._flight(robot, motor, 0.0).lifts
+        with pytest.raises(regime2.NoCompletedCycleError, match="within 50000 periods"):
+            regime2.steady_speed(robot, motor)
+        result = run_sweep(SweepSpec("omega", "v_r_regime2", (1e5,)), brush, motor, robot)
+        assert result.rows == ((1e5, None, STATUS_NO_CYCLES),)
+
+    def test_regime2_objective_needs_robot(self, brush, motor):
         spec = SweepSpec("omega", "v_r_regime2", (100.0, 300.0))
         with pytest.raises(ValidationError, match="v_r_regime2"):
             run_sweep(spec, brush, motor)
