@@ -257,6 +257,8 @@ class TestRunSweep:
         lift = math.sqrt(robot.weight * robot.gravity_arm / (1e-3 * 2e-3 * robot.forcing_arm))
         with pytest.raises(regime2.NoCompletedCycleError):  # below lift-off
             objective(brush, MotorParams(1e-3, 2e-3, 0.9 * lift), robot, SimConfig(0.5, 1e-4))
+        with pytest.raises(regime2.NoCompletedCycleError):  # motor off, no gravity moment
+            objective(brush, MotorParams(0.0, 2e-3, 300.0), robot._replace(gravity_arm=0.0), None)
         runaway, violent = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04), MotorParams(0.01, 0.01, 300.0)
         with pytest.raises(regime2.ModelDomainError):  # tips over, as in simulate
             regime2.simulate(runaway, violent, SimConfig(0.5, 1e-4))
