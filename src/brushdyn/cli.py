@@ -11,7 +11,8 @@ config produces byte-identical results on every run.
 result that overflowed, write `--out` if the command takes it, print to
 stdout. Every failure comes before the write, so a run that fails leaves
 `--out` untouched. `simulate-r2` writes each block of at most
-`regime2._BLOCK` samples as `regime2.stream` yields it.
+`regime2._BLOCK` samples as `regime2.stream`, the one regime-2 sampler,
+yields it, and reports the last cycle's peak as `peak_angle`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ def cmd_simulate_r2(cfg: RunConfig) -> tuple:
                 handle.write("".join([f"{a!r} {b!r} {c!r} {d!r}{end}"
                                       for a, b, c, d in zip(t, theta, theta_dot, theta_ddot)]))
 
-    peak = regime2.peak_angle(traj) if traj.cycles else None
+    # the steady peak, the last cycle's: flights from rest share one peak, and
+    # a first flight from theta0 > 0 is the last cycle only when alone
+    peak = traj.cycles[-1].peak if traj.cycles else None
     return [("cycles", len(traj.cycles)), ("peak_angle", peak),
             ("mean_v_r", x / t if t > 0.0 else 0.0)], write
 

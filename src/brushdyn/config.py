@@ -89,12 +89,9 @@ def _build_sweep(items: dict[str, str]) -> SweepSpec:
             raise ConfigError(
                 "[sweep] takes either grid= or start/stop/points, not both"
             )
-        values = [
-            _number("sweep", "grid", part)
-            for part in items["grid"].split(",")
-            if part.strip()
-        ]
-        return SweepSpec(parameter=parameter, objective=objective, grid=tuple(values))
+        grid = items["grid"]  # every item is a number: a blank one is a typo, not a skip
+        values = tuple(_number("sweep", "grid", part) for part in grid.split(",")) if grid else ()
+        return SweepSpec(parameter=parameter, objective=objective, grid=values)
     if range_keys != {"start", "stop", "points"}:
         raise ConfigError(
             "[sweep] needs grid= or all of start=, stop=, points="
@@ -114,7 +111,7 @@ def load_config(path: str) -> RunConfig:
     # no default section: a [DEFAULT] header is an ordinary section, keys or not
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is not text
             parser.read_file(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None

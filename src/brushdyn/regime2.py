@@ -19,17 +19,16 @@ evaluations each (once converged it gallops out of rounding noise), to float
 resolution away from the lift-off threshold; the closed form cancels as rho
 nears 1, so the steady peak is off by ~1e-9 (relative) at rho = 1 - 1e-4 and
 by 8-11 % at rho = 1 - 1e-8 (omega = 300 rad/s with c_g = 73.575, c_f = 50 or
-c_f = 270 rad/s^2). dt only sets the sampling grid: ``simulate`` holds every
-sample (~2 GB at MAX_GRID_STEPS), ``stream`` yields one block of at most
-_BLOCK samples at a time. Limit: exact only while the moments do not depend
-on theta (fixed moment arms).
+c_f = 270 rad/s^2). dt only sets the sampling grid; ``stream`` yields the
+samples one block of at most _BLOCK at a time. Limit: exact only while the
+moments do not depend on theta (fixed moment arms).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .params import TWO_PI, ModelDomainError, MotorParams, RobotParams
@@ -40,15 +39,15 @@ MAX_BODY_ANGLE = math.pi / 2.0
 # Flights shorter than this fraction of the forcing period are boundary
 # artifacts (lift-off exactly at the zero-moment point), not real cycles.
 _MIN_FLIGHT_FRACTION = 1e-12
-# Longest window, in grid steps: it bounds the samples, which ``simulate``
-# holds (~2 GB at this cap) and ``stream`` yields in blocks of at most _BLOCK.
+# Longest window, in grid steps: it bounds the samples, which ``stream``
+# yields in blocks of at most _BLOCK.
 MAX_GRID_STEPS = 10**7
 _BLOCK = 128  # most samples in one block of ``stream``
 _HORIZON = MAX_GRID_STEPS / 200  # periods steady_speed flies: the longest window, at T/200
 
 
 class NoCompletedCycleError(ValueError):
-    """The trajectory contains no completed lift-off/touchdown cycle."""
+    """No flight from rest completes a lift-off/touchdown cycle."""
 
 
 @validated
@@ -80,14 +79,6 @@ class SimConfig(NamedTuple):
                  "record_stride must be a positive integer")
 
 
-class Sample(NamedTuple):
-    t: float
-    theta: float
-    theta_dot: float
-    theta_ddot: float
-    x: float
-
-
 class Cycle(NamedTuple):
     lift_off: float
     touchdown: float
@@ -97,13 +88,13 @@ class Cycle(NamedTuple):
 class Regime2Trajectory(NamedTuple):
     """Sampled hybrid trajectory and its completed flights.
 
-    samples  time-ordered: Samples from simulate, column blocks from stream
+    samples  time-ordered column blocks, laid out as _blocks says
     cycles   one Cycle per completed flight, in time order: its lift-off and
              touchdown times, s, and its peak angle, rad
     end      (t, x) of the last sample, s and m
     """
 
-    samples: tuple[Sample, ...] | Iterator[tuple]
+    samples: Iterator[tuple]
     cycles: tuple[Cycle, ...]
     end: tuple[float, float]
 
@@ -305,7 +296,7 @@ def _flights(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Iterator
 
 
 def _blocks(cfg: SimConfig, flights: list, xs: Iterator[float]) -> Iterator[tuple]:
-    """The samples of ``simulate`` over the records of _flights, in blocks of
+    """The samples of ``stream`` over the records of _flights, in blocks of
     at most _BLOCK consecutive ones of one x as columns (t, theta, theta_dot,
     theta_ddot, x): lists, and the float x, the next of xs from each touchdown;
     the angle columns are None at rest, where all three are 0.0."""
@@ -354,9 +345,23 @@ def _blocks(cfg: SimConfig, flights: list, xs: Iterator[float]) -> Iterator[tupl
 
 
 def stream(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Regime2Trajectory:
-    """``simulate`` with samples yielded one block of at most _BLOCK at a time,
-    laid out as _blocks says. It lists every flight, each touchdown's x and the
-    end at the call, so it raises there what simulate raises, before any block."""
+    """Solve the pivot rotation with ground contact over [0, t_end].
+
+    Flights are exact; a touchdown resets the state to rest until the next
+    rising zero of the net moment. Samples are the closed form at every
+    record_stride-th grid point t_k = k*dt (exact zeros at rest), plus a rest
+    sample at each completed touchdown, where x steps by h*sin(cycle peak) and
+    which stands for a grid point at the same time. Near a peak or touchdown
+    the closed form can round a few ulps past it, so sampled theta in flight
+    is clamped to [0, cycle peak]. A flight still airborne at the window end
+    is not a cycle, and its theta is only kept >= 0. Samples are yielded one
+    block of at most _BLOCK at a time, laid out as _blocks says.
+
+    Every flight, each touchdown's x and the end are found at the call, so it
+    raises there, before any block: ValidationError when dt or t_end violate
+    the resolution guards, ModelDomainError if the body angle reaches pi/2
+    inside the window and OverflowError if x leaves the float range.
+    """
     flights = list(_flights(robot, motor, cfg))
     cycles = tuple(Cycle(t, t + duration, peak)
                    for _, t, duration, peak in flights if peak is not None)
@@ -369,39 +374,6 @@ def stream(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Regime2Tra
     return Regime2Trajectory(_blocks(cfg, flights, iter(xs)), cycles, end)
 
 
-def simulate(
-    robot: RobotParams, motor: MotorParams, cfg: SimConfig
-) -> Regime2Trajectory:
-    """Solve the pivot rotation with ground contact over [0, t_end].
-
-    Flights are exact; a touchdown resets the state to rest until the next
-    rising zero of the net moment. Samples are the closed form at every
-    record_stride-th grid point t_k = k*dt (exact zeros at rest), plus a rest
-    sample at each completed touchdown, where x steps by h*sin(cycle peak) and
-    which stands for a grid point at the same time. Near a peak or touchdown
-    the closed form can round a few ulps past it, so sampled theta in flight
-    is clamped to [0, cycle peak]. A flight still airborne at the window end
-    is not a cycle, and its theta is only kept >= 0.
-
-    Raises ValidationError when dt or t_end violate the resolution guards,
-    ModelDomainError if the body angle reaches pi/2 inside the window and
-    OverflowError if x leaves the float range.
-    """
-    traj, zero = stream(robot, motor, cfg), repeat(0.0)
-    rows = chain.from_iterable(zip(t, theta or zero, rate or zero, accel or zero, repeat(x))
-                               for t, theta, rate, accel, x in traj.samples)
-    # tuple.__new__ builds each Sample without its Python-level __new__
-    return traj._replace(samples=tuple(map(tuple.__new__, repeat(Sample), rows)))
-
-
-def peak_angle(traj: Regime2Trajectory) -> float:
-    """The steady cycle peak, the last one's: flights from rest share one peak,
-    and a first flight from theta0 > 0 is the last cycle only when alone."""
-    if not traj.cycles:
-        raise NoCompletedCycleError("trajectory has no completed lift-off/touchdown cycle")
-    return traj.cycles[-1].peak
-
-
 def step_displacement(robot: RobotParams, theta_hat: float) -> float:
     """Forward step per cycle, delta = h*sin(theta_hat)."""
     _require(0.0 <= theta_hat < MAX_BODY_ANGLE, "theta_hat out of [0, pi/2)")
@@ -409,7 +381,7 @@ def step_displacement(robot: RobotParams, theta_hat: float) -> float:
 
 
 def steady_speed(robot: RobotParams, motor: MotorParams) -> float:
-    """h*sin(peak)/(n*T), the steady speed ``simulate`` implies: one step of the flight
+    """h*sin(peak)/(n*T), the steady speed ``stream`` implies: one step of the flight
     from rest per hop of n periods (_Flight.hop). It lands that one flight, which no
     window enters, within _HORIZON forcing periods. Raises ModelDomainError if the
     body tips over, and NoCompletedCycleError if it never lifts from rest (c_g >= c_f)

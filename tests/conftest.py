@@ -2,7 +2,7 @@ import pytest
 
 from brushdyn import BrushParams, MotorParams, RobotParams, SimConfig, regime2
 
-from helpers import REFERENCE_MOTOR, REFERENCE_ROBOT
+from helpers import REFERENCE_MOTOR, REFERENCE_ROBOT, rows
 
 
 @pytest.fixture
@@ -36,4 +36,6 @@ def reference_sim():
 def reference_trajectory():
     robot = RobotParams(**REFERENCE_ROBOT)
     motor = MotorParams(**REFERENCE_MOTOR)
-    return regime2.simulate(robot, motor, SimConfig(t_end=0.5, dt=1e-4))
+    traj = regime2.stream(robot, motor, SimConfig(t_end=0.5, dt=1e-4))
+    # its samples flattened once into a tuple of Rows, which every test can read
+    return traj._replace(samples=tuple(rows(traj.samples)))

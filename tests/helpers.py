@@ -1,4 +1,5 @@
-"""Shared test resources: parameter generators and independent oracles.
+"""Shared test resources: parameter generators, a row view of the regime-2
+samples, and independent oracles.
 
 The oracles deliberately take different numerical routes than the library
 (exact rational series, collocation BVP solves, fixed-step RK4 time stepping
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -88,6 +91,30 @@ ROBOT_SECTION = dict(
     gravity="9.81",
 )
 SIM_SECTION = dict(t_end="0.5", dt="1e-4", record_stride="1")
+
+
+# ---------------------------------------------------------------------------
+# regime-2 samples one row each (a view of regime2.stream, not an oracle)
+
+class Row(NamedTuple):
+    t: float
+    theta: float
+    theta_dot: float
+    theta_ddot: float
+    x: float
+
+
+def rows(blocks: Iterable[tuple]) -> Iterator[Row]:
+    """The samples in the column blocks of ``regime2.stream`` (its trajectory's
+    ``samples``), one Row each in time order; a block at rest, whose angle
+    columns are None, gives rows with all three angles 0.0.
+
+    A view of stream for tests that read its samples one at a time, not an
+    oracle: it takes every value from the blocks and checks nothing.
+    """
+    zero = repeat(0.0)
+    for t, theta, rate, accel, x in blocks:
+        yield from map(Row._make, zip(t, theta or zero, rate or zero, accel or zero, repeat(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +351,7 @@ def from_rest_phases(rho: float):
 
 def count_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
     """(lift_off, touchdown, peak) of every flight in the window of
-    ``regime2.simulate``: touchdown is math.inf for a flight airborne at the
+    ``regime2.stream``: touchdown is math.inf for a flight airborne at the
     window end, peak None unless the flight counts as a cycle.
 
     Independent route to the library's walk over the window one flight at a

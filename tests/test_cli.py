@@ -1,5 +1,6 @@
 """Command surface: output formats, exit codes, determinism."""
 
+import codecs
 import errno
 import io
 import json
@@ -38,6 +39,7 @@ from helpers import (
     ROBOT_SECTION,
     SIM_SECTION,
     config_text,
+    rows,
 )
 
 FULL = {
@@ -119,6 +121,10 @@ FAILING_RUNS = {
                              "[sweep] needs grid= or all of start=, stop=, points="),
     "empty-grid": ("sweep", omega_sweep("k_theta", grid=""), 2,
                    "sweep grid must contain at least one value"),
+    # every grid item is a number: a blank one is a typo, not a skipped point
+    **{case: ("sweep", omega_sweep("k_theta", grid=grid), 2,
+              "value '' for 'grid' in [sweep] is not a number")
+       for case, grid in [("blank-grid-item", "100,,300"), ("trailing-grid-comma", "100,")]},
     "fractional-points": ("sweep", omega_sweep("k_theta", start="100", stop="300", points="2.5"),
                           2, "value '2.5' for 'points' in [sweep] is not an integer"),
     "missing-robot-section": ("predict-r1", {"brush": BRUSH_SECTION, "motor": MOTOR_SECTION},
@@ -320,6 +326,21 @@ class TestConfigParsing:
                 else:
                     assert float(stated) == cls._field_defaults[name], name
 
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_config_with_a_byte_order_mark_runs_as_without_one(self, tmp_path, capsys, command):
+        # some editors save UTF-8 with a BOM before the first line
+        text = (ROOT / "configs" / "reference.cfg").read_bytes()
+        path, out_path = tmp_path / "run.cfg", tmp_path / "out.txt"
+        argv = [command, "--config", str(path)]
+        argv += ["--out", str(out_path)] if command in WRITERS else []
+        runs = []
+        for body in (text, codecs.BOM_UTF8 + text):
+            path.write_bytes(body)
+            result = run_cli(capsys, argv)
+            runs.append((result, out_path.read_bytes() if command in WRITERS else None))
+        ((code, _, err), _), bom = runs
+        assert (code, err) == (0, "") and runs[0] == bom
+
 
 class TestPredictR1:
     def test_table_matches_library(self, tmp_path, capsys):
@@ -448,7 +469,7 @@ class TestSimulateR2:
         )
         assert code == 0
         cfg = load_config(path)
-        samples = regime2.simulate(cfg.robot, cfg.motor, cfg.sim).samples
+        samples = rows(regime2.stream(cfg.robot, cfg.motor, cfg.sim).samples)
         expected = "t th thdot thddot x\n" + "".join(
             f"{s.t!r} {s.theta!r} {s.theta_dot!r} {s.theta_ddot!r} {s.x!r}\n"
             for s in samples
@@ -493,7 +514,7 @@ class TestSimulateR2:
                                           theta0, stride)
         robot, motor = RobotParams(0.05, 2e-5, 0.03, 0.003, 0.04), MotorParams(1e-3, 2e-3, 300.0)
         period, block = motor.period, regime2._BLOCK
-        flight = regime2.simulate(robot, motor, SimConfig(5.5 * period, period / 200.0)).cycles[0]
+        flight = regime2.stream(robot, motor, SimConfig(5.5 * period, period / 200.0)).cycles[0]
         lift_off, touchdown, _ = flight
         # lift-off and touchdown times do not depend on dt: block samples at
         # rest before the lift-off, and a multiple of block in its flight
@@ -511,8 +532,8 @@ class TestSimulateR2:
         yield robot, weak, SimConfig((-(-1001 // block) * block - 0.5) * dt, dt)
 
     def test_block_writer_matches_per_sample_formatting(self, tmp_path, capsys):
-        # the --out bytes against each Sample of simulate formatted on its own,
-        # and the invariants of the blocks stream yields
+        # the --out bytes against each row of stream's flattened blocks
+        # formatted on its own, and the invariants of the blocks it yields
         block, header = regime2._BLOCK, "t th thdot thddot x\n"
         full_at, mid_flight, grounded, tilted = set(), 0, 0, 0
         path, out_path = tmp_path / "run.cfg", tmp_path / "traj.txt"
@@ -524,10 +545,10 @@ class TestSimulateR2:
                             encoding="utf-8")
             code = main(["simulate-r2", "--config", str(path), "--out", str(out_path)])
             capsys.readouterr()
-            traj = regime2.simulate(robot, motor, sim)
+            traj = regime2.stream(robot, motor, sim)
             expected = header + "".join(
                 f"{t!r} {theta!r} {theta_dot!r} {theta_ddot!r} {x!r}\n"
-                for t, theta, theta_dot, theta_ddot, x in traj.samples
+                for t, theta, theta_dot, theta_ddot, x in rows(traj.samples)
             )
             assert code == 0 and out_path.read_bytes() == expected.encode("utf-8"), sim
 
@@ -903,8 +924,8 @@ class TestEntryPoint:
         (example,) = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
         exec(compile(example, "README.md library example", "exec"), {})
         sim = SimConfig(t_end=0.5, dt=1e-4)
-        traj = regime2.simulate(reference_robot, reference_motor, sim)
-        peak = regime2.peak_angle(traj)
+        traj = regime2.stream(reference_robot, reference_motor, sim)
+        peak = traj.cycles[-1].peak
         speed = regime2.steady_speed(reference_robot, reference_motor)
         assert capsys.readouterr().out.splitlines() == [
             str(regime1.predict(brush, reference_motor)),
@@ -948,7 +969,7 @@ class TestNonFiniteValues:
         _, _, err = result = run_cli(capsys, ["classify", "--config", str(path)])
         assert_failed(result, 2)
         assert err.startswith(f"error: cannot read config file {str(path)!r}: ")
-        assert "can't decode byte 0xb0" in err
+        assert "'utf-8' codec can't decode byte 0xb0" in err
 
     # A sweep point that leaves the float range is an invalid row, and the
     # other rows and the argmax stand. Over l: l = 1e-200 underflows l**2 to

@@ -9,13 +9,7 @@ from scipy.optimize import brentq
 
 from brushdyn import MotorParams, RobotParams, SimConfig, regime2
 from brushdyn.params import ValidationError
-from brushdyn.regime2 import (
-    Cycle,
-    ModelDomainError,
-    NoCompletedCycleError,
-    Regime2Trajectory,
-    Sample,
-)
+from brushdyn.regime2 import ModelDomainError, NoCompletedCycleError
 
 from helpers import (
     REFERENCE_PEAK,
@@ -27,6 +21,7 @@ from helpers import (
     reference_motor,
     reference_robot,
     rk4_hybrid,
+    rows,
 )
 
 
@@ -56,20 +51,6 @@ class TestSimConfig:
             with pytest.raises(ValidationError, match=r"t_end / dt must be finite"):
                 SimConfig(t_end=t_end, dt=dt)
         SimConfig(t_end=1e300, dt=1e-8)  # 1e308 grid steps is still finite
-
-    def test_step_guard_against_motor_period(self, reference_robot):
-        motor = reference_motor()
-        with pytest.raises(ValidationError, match="dt"):
-            regime2.simulate(
-                reference_robot, motor, SimConfig(t_end=0.5, dt=motor.period / 100)
-            )
-
-    def test_window_guard_against_motor_period(self, reference_robot):
-        motor = reference_motor()
-        with pytest.raises(ValidationError, match="t_end"):
-            regime2.simulate(
-                reference_robot, motor, SimConfig(t_end=4.0 * motor.period, dt=1e-4)
-            )
 
 
 class TestLiftOffCondition:
@@ -112,16 +93,18 @@ class TestLiftOffCondition:
 
 class TestSimulateTrivial:
     def test_motor_off_stays_at_rest(self, reference_robot):
-        traj = regime2.simulate(reference_robot, quiet_motor(), SimConfig(0.5, 1e-4))
+        traj = regime2.stream(reference_robot, quiet_motor(), SimConfig(0.5, 1e-4))
+        samples = list(rows(traj.samples))
         assert not traj.cycles
-        assert all(s.theta == 0.0 for s in traj.samples)
-        assert all(s.theta_dot == 0.0 for s in traj.samples)
-        assert all(s.x == 0.0 for s in traj.samples)
+        assert all(s.theta == 0.0 for s in samples)
+        assert all(s.theta_dot == 0.0 for s in samples)
+        assert all(s.x == 0.0 for s in samples)
 
     def test_gravity_fall_from_initial_angle(self, reference_robot):
         theta0 = 0.3
         cfg = SimConfig(t_end=0.5, dt=1e-4, theta0=theta0)
-        traj = regime2.simulate(reference_robot, quiet_motor(), cfg)
+        traj = regime2.stream(reference_robot, quiet_motor(), cfg)
+        samples = list(rows(traj.samples))
 
         decel = (
             reference_robot.weight
@@ -133,12 +116,12 @@ class TestSimulateTrivial:
         assert lift_off == 0.0
         assert touchdown == pytest.approx(fall_time, abs=1e-9)
         assert peak == theta0
-        assert traj.samples[-1].x == pytest.approx(
+        assert samples[-1].x == pytest.approx(
             reference_robot.step_height * math.sin(theta0), rel=1e-12
         )
 
         # parabolic flight against the samples, constant angular deceleration
-        for s in traj.samples:
+        for s in samples:
             if 0.0 < s.t < touchdown:
                 assert s.theta == pytest.approx(
                     theta0 - 0.5 * decel * s.t**2, abs=1e-8
@@ -146,9 +129,9 @@ class TestSimulateTrivial:
                 assert s.theta_ddot == -decel
 
         # at rest forever after the single touchdown
-        after = [s for s in traj.samples if s.t > touchdown]
+        after = [s for s in samples if s.t > touchdown]
         assert after
-        assert all(s.theta == 0.0 and s.x == traj.samples[-1].x for s in after)
+        assert all(s.theta == 0.0 and s.x == samples[-1].x for s in after)
 
 
 class TestSimulateReference:
@@ -191,7 +174,7 @@ class TestSimulateReference:
             assert abs(b - a) / a <= 0.01
 
     def test_peak_angle_matches_fine_reference(self, reference_trajectory):
-        assert regime2.peak_angle(reference_trajectory) == pytest.approx(
+        assert reference_trajectory.cycles[-1].peak == pytest.approx(
             REFERENCE_PEAK, abs=1e-4
         )
 
@@ -218,7 +201,7 @@ class TestSamplingGrid:
         self, reference_robot, reference_motor
     ):
         runs = [
-            regime2.simulate(
+            regime2.stream(
                 reference_robot,
                 reference_motor,
                 SimConfig(t_end=0.25, dt=dt, record_stride=1000),
@@ -248,8 +231,8 @@ class TestSamplingGrid:
                 / reference_robot.pivot_inertia
             )
             cfg = SimConfig(t_end=6.0 * motor.period, dt=motor.period / 200.0)
-            traj = regime2.simulate(reference_robot, motor, cfg)
-            scaled.append(regime2.peak_angle(traj) * speed**2 / c_force)
+            peak = regime2.stream(reference_robot, motor, cfg).cycles[-1].peak
+            scaled.append(peak * speed**2 / c_force)
         for value in scaled[1:]:
             assert value == pytest.approx(scaled[0], rel=1e-9)
 
@@ -259,11 +242,11 @@ class TestWindow:
         # a 0.5 rad fall lasts sqrt(2*0.5/c_g) ~ 0.117 s
         motor = quiet_motor()
         short = SimConfig(t_end=0.11, dt=1e-4, theta0=0.5)
-        traj = regime2.simulate(reference_robot, motor, short)
+        traj = regime2.stream(reference_robot, motor, short)
         assert not traj.cycles
-        assert all(s.theta > 0.0 and s.x == 0.0 for s in traj.samples)
+        assert all(s.theta > 0.0 and s.x == 0.0 for s in rows(traj.samples))
         long = SimConfig(t_end=0.12, dt=1e-4, theta0=0.5)
-        assert len(regime2.simulate(reference_robot, motor, long).cycles) == 1
+        assert len(regime2.stream(reference_robot, motor, long).cycles) == 1
 
     def test_tilted_flight_landing_in_the_last_period_is_the_only_cycle(
         self, reference_robot, reference_motor
@@ -273,15 +256,15 @@ class TestWindow:
         # off from rest and the body stays at rest to the end
         period = reference_motor.period
         cfg = SimConfig(t_end=5.0 * period, dt=period / 400.0, theta0=0.2)
-        traj = regime2.simulate(reference_robot, reference_motor, cfg)
+        traj = regime2.stream(reference_robot, reference_motor, cfg)
         ((lift_off, touchdown, peak),) = traj.cycles
         assert peak == 0.20815568964720926
         # no window enters the steady hop: the reference window's, 2 periods
-        reference = regime2.simulate(reference_robot, reference_motor, SimConfig(0.5, 1e-4))
+        reference = regime2.stream(reference_robot, reference_motor, SimConfig(0.5, 1e-4))
         step = regime2.step_displacement(reference_robot, reference.cycles[-1].peak)
         assert regime2.steady_speed(reference_robot, reference_motor) == step / (2 * period)
         assert lift_off == 0.0 and 4.0 * period < touchdown < 4.2 * period
-        after = [s for s in traj.samples if s.t >= touchdown]
+        after = [s for s in rows(traj.samples) if s.t >= touchdown]
         assert len(after) > 300
         assert all(s[1:4] == (0.0, 0.0, 0.0) and s.x == after[0].x for s in after)
         assert after[0].x > 0.0
@@ -292,17 +275,17 @@ class TestWindow:
         robot = RobotParams(0.05, 2e-5, 0.03, 0.0, 0.04)
         eccentricity = 2000.0 * robot.pivot_inertia / (1e-3 * 300.0**2 * 0.03)
         motor = MotorParams(1e-3, eccentricity, 300.0)
-        traj = regime2.simulate(robot, motor, SimConfig(t_end=0.2, dt=1e-4))
+        traj = regime2.stream(robot, motor, SimConfig(t_end=0.2, dt=1e-4))
         assert not traj.cycles
-        assert max(s.theta for s in traj.samples) < math.pi / 2
+        assert max(s.theta for s in rows(traj.samples)) < math.pi / 2
         with pytest.raises(ModelDomainError, match="exceeds pi/2"):
-            regime2.simulate(robot, motor, SimConfig(t_end=0.3, dt=1e-4))
+            regime2.stream(robot, motor, SimConfig(t_end=0.3, dt=1e-4))
 
     def test_lift_off_after_initial_fall_locks_to_forcing_phase(
         self, reference_robot, reference_motor
     ):
         cfg = SimConfig(t_end=0.5, dt=1e-4, theta0=0.05)
-        traj = regime2.simulate(reference_robot, reference_motor, cfg)
+        traj = regime2.stream(reference_robot, reference_motor, cfg)
         first, *rest = traj.cycles
         assert first.lift_off == 0.0
         assert rest and rest[0].lift_off >= first.touchdown
@@ -342,7 +325,7 @@ class TestSteadyFlight:
         for _ in range(40):
             robot, motor, dt, theta0 = random_flights(rng)
             cfg = SimConfig(12.0 * motor.period, dt, theta0)
-            peaks = [c.peak for c in regime2.simulate(robot, motor, cfg).cycles]
+            peaks = [c.peak for c in regime2.stream(robot, motor, cfg).cycles]
             from_rest = peaks[1:] if theta0 > 0.0 else peaks
             assert len(from_rest) >= 2
             assert len(set(from_rest)) == 1, (theta0, peaks)
@@ -352,8 +335,9 @@ class TestPeakBound:
     @staticmethod
     def assert_flights_below_peaks(traj):
         assert traj.cycles
+        samples = list(rows(traj.samples))
         for cycle in traj.cycles:
-            for s in traj.samples:
+            for s in samples:
                 if cycle.lift_off < s.t < cycle.touchdown:
                     assert s.theta <= cycle.peak, (cycle, s)
 
@@ -362,7 +346,7 @@ class TestPeakBound:
         self, reference_robot, reference_motor, stride
     ):
         cfg = SimConfig(t_end=0.5, dt=1e-4, record_stride=stride)
-        traj = regime2.simulate(reference_robot, reference_motor, cfg)
+        traj = regime2.stream(reference_robot, reference_motor, cfg)
         self.assert_flights_below_peaks(traj)
 
     @pytest.mark.parametrize("stride", [1, 7])
@@ -371,7 +355,7 @@ class TestPeakBound:
         for _ in range(40):
             robot, motor, dt, theta0 = random_flights(rng)
             cfg = SimConfig(8.0 * motor.period, dt, theta0, stride)
-            self.assert_flights_below_peaks(regime2.simulate(robot, motor, cfg))
+            self.assert_flights_below_peaks(regime2.stream(robot, motor, cfg))
 
     def test_grid_points_beside_a_peak_stay_below_it(
         self, reference_robot, reference_motor
@@ -397,7 +381,7 @@ class TestPeakBound:
             swing = math.cos(rise) - math.cos(rise + omega * s)
             return c_force / omega * swing - c_grav * s
 
-        first = regime2.simulate(
+        first = regime2.stream(
             reference_robot, reference_motor, SimConfig(0.5, 1e-4)
         ).cycles[0]
         s_peak = brentq(
@@ -409,7 +393,7 @@ class TestPeakBound:
         t_peak = first.lift_off + s_peak
         for j in range(-200, 201):
             cfg = SimConfig(0.5, (t_peak + j * 1e-13) / 300, record_stride=300)
-            traj = regime2.simulate(reference_robot, reference_motor, cfg)
+            traj = regime2.stream(reference_robot, reference_motor, cfg)
             self.assert_flights_below_peaks(traj)
 
     def test_grid_points_just_after_a_lift_off_stay_on_the_ground(
@@ -419,14 +403,14 @@ class TestPeakBound:
         # the closed form reads a few 1e-20 of either sign; a negative one is
         # clamped to 0.0. Grid point 1000 is put 1e-12 to 1e-11 s after the
         # second lift-off.
-        t_lift = regime2.simulate(
+        t_lift = regime2.stream(
             reference_robot, reference_motor, SimConfig(0.5, 1e-4)
         ).cycles[1].lift_off
         angles = []
         for j in range(1, 11):
             dt = (t_lift + j * 1e-12) / 1000
-            traj = regime2.simulate(reference_robot, reference_motor, SimConfig(0.2, dt))
-            (sample,) = [s for s in traj.samples if s.t == 1000 * dt]
+            traj = regime2.stream(reference_robot, reference_motor, SimConfig(0.2, dt))
+            (sample,) = [s for s in rows(traj.samples) if s.t == 1000 * dt]
             angles.append(sample.theta)
         assert min(angles) >= 0.0, angles
         assert 0.0 in angles, angles
@@ -718,7 +702,7 @@ def event_case(rng, family, stride):
 
 
 class TestEventLocation:
-    """Touchdowns and peaks of simulate against bisection on the closed form
+    """Touchdowns and peaks of stream against bisection on the closed form
     in another arrangement (helpers.flight_events), not the library's Newton."""
 
     FAMILIES = ("tilted", "near_one", "no_arm")
@@ -730,7 +714,7 @@ class TestEventLocation:
         for index in range(120):
             family = self.FAMILIES[index % 3]
             robot, motor, cfg = event_case(rng, family, stride)
-            traj = regime2.simulate(robot, motor, cfg)
+            traj = regime2.stream(robot, motor, cfg)
             if family == "no_arm":
                 assert not traj.cycles  # theta_dot >= 0: nothing comes down
                 continue
@@ -766,7 +750,7 @@ class TestCycleCount:
             counted = count_flights(robot, motor, cfg)
         except ModelDomainError:
             with pytest.raises(ModelDomainError):
-                regime2.simulate(robot, motor, cfg)
+                regime2.stream(robot, motor, cfg)
             if cfg.theta0 == 0.0:  # a flight from rest tipped over, in any window
                 with pytest.raises(ModelDomainError):
                     regime2.steady_speed(robot, motor)
@@ -776,7 +760,7 @@ class TestCycleCount:
         ]
         assert flights == counted
         cycles = [f for f in counted if f[2] is not None]
-        traj = regime2.simulate(robot, motor, cfg)
+        traj = regime2.stream(robot, motor, cfg)
         assert traj.cycles == tuple(cycles)
         # the steady hop, where the window holds one: the count's flights from
         # rest, their lift-offs n periods apart
@@ -850,7 +834,7 @@ class TestModelDomain:
         robot = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04)
         motor = MotorParams(0.01, 0.01, 300.0)
         with pytest.raises(ModelDomainError):
-            regime2.simulate(robot, motor, SimConfig(t_end=0.5, dt=1e-4))
+            regime2.stream(robot, motor, SimConfig(t_end=0.5, dt=1e-4))
 
     @pytest.mark.parametrize("forcing_arm", [0.03, 0.05, 0.3])
     def test_error_names_the_time_theta_crosses_pi_over_2(self, forcing_arm):
@@ -881,7 +865,7 @@ class TestStream:
         with pytest.raises(ValidationError, match=match):
             regime2.stream(reference_robot, reference_motor, cfg)
 
-    def test_end_is_the_last_sample_of_simulate(self):
+    def test_end_is_the_last_sample_of_its_blocks(self):
         # stream knows its last sample before any block is read: a grid
         # point, or a touchdown after the last one that a stride keeps
         rng = np.random.default_rng(852)
@@ -890,9 +874,9 @@ class TestStream:
             robot, motor, dt, theta0 = random_flights(rng)
             stride = int(rng.choice((1, 3, 50, 5000)))
             cfg = SimConfig(rng.uniform(5.0, 30.0) * motor.period, dt, theta0, stride)
-            traj = regime2.simulate(robot, motor, cfg)
-            last = traj.samples[-1]
-            assert regime2.stream(robot, motor, cfg).end == (last.t, last.x), index
+            traj = regime2.stream(robot, motor, cfg)
+            *_, last = rows(traj.samples)
+            assert traj.end == (last.t, last.x), index
             touchdowns += bool(traj.cycles) and last.t == traj.cycles[-1].touchdown
         assert touchdowns > 20
 
@@ -904,28 +888,12 @@ class TestStream:
 
 
 class TestPeakAngle:
-    def test_requires_a_completed_cycle(self, reference_robot):
-        traj = regime2.simulate(reference_robot, quiet_motor(), SimConfig(0.5, 1e-4))
-        with pytest.raises(NoCompletedCycleError):
-            regime2.peak_angle(traj)
-
-    def test_uses_steady_portion(self):
-        traj = Regime2Trajectory(
-            samples=(Sample(0.0, 0.0, 0.0, 0.0, 0.0),),
-            cycles=tuple(Cycle(0.01 * k, 0.01 * k + 0.005, peak)
-                         for k, peak in enumerate((0.9, 0.05, 0.04, 0.02, 0.03))),
-            end=(0.045, 0.0),
-        )
-        # the last cycle is the steady one: neither the first (transient)
-        # peak nor the largest of the last half
-        assert regime2.peak_angle(traj) == 0.03
-
     @pytest.mark.parametrize("stride", [1, 7])
     def test_last_peak_is_the_last_half_maximum(self, stride):
         # the rule peak_angle once applied, kept as an oracle: the largest
         # peak over the last half of the cycles; every other window starts
-        # tilted, so its first peak differs. simulate-r2 takes the peak from
-        # stream's trajectory, as here.
+        # tilted, so its first peak differs. simulate-r2 reports the last
+        # cycle's peak, as here.
         rng = np.random.default_rng(818 + stride)
         windows = tilted = 0
         for index in range(200):
@@ -935,10 +903,8 @@ class TestPeakAngle:
             traj = regime2.stream(robot, motor, cfg)
             peaks = [c.peak for c in traj.cycles]
             if not peaks:
-                with pytest.raises(NoCompletedCycleError):
-                    regime2.peak_angle(traj)
                 continue
-            assert regime2.peak_angle(traj) == max(peaks[len(peaks) // 2:]), index
+            assert traj.cycles[-1].peak == max(peaks[len(peaks) // 2:]), index
             windows += 1
             tilted += theta0 > 0.0 and len(set(peaks)) > 1
         assert windows > 190 and tilted > 90
@@ -972,11 +938,11 @@ class TestSteadySpeed:
     def test_speed_is_the_x_gained_per_hop_time(self, reference_robot, speed, hops):
         motor = MotorParams(1e-3, 2e-3, speed)
         cfg = SimConfig(200.0 * motor.period, motor.period / 200.0, record_stride=100)
-        traj = regime2.simulate(reference_robot, motor, cfg)
+        traj = regime2.stream(reference_robot, motor, cfg)
         first, *_, last = traj.cycles
         assert round((traj.cycles[1].lift_off - first.lift_off) / motor.period) == hops
         # x steps at each touchdown; the first step is not a hop's time apart
-        x = [s.x for s in traj.samples if s.t == last.touchdown][-1]
+        x = [s.x for s in rows(traj.samples) if s.t == last.touchdown][-1]
         per_hop = (x - x / len(traj.cycles)) / (last.lift_off - first.lift_off)
         steady = regime2.steady_speed(reference_robot, motor)
         assert steady == pytest.approx(per_hop, rel=1e-12, abs=0.0)
@@ -1005,15 +971,15 @@ class TestRecording:
     def test_stride_thins_grid_but_keeps_touchdowns(
         self, reference_robot, reference_motor
     ):
-        dense = regime2.simulate(
+        dense = regime2.stream(
             reference_robot, reference_motor, SimConfig(0.5, 1e-4, record_stride=1)
         )
-        thin = regime2.simulate(
+        thin = regime2.stream(
             reference_robot, reference_motor, SimConfig(0.5, 1e-4, record_stride=50)
         )
         assert thin.cycles == dense.cycles
-        assert len(thin.samples) < len(dense.samples)
-        thin_times = {s.t for s in thin.samples}
+        thin_times = [s.t for s in rows(thin.samples)]
+        assert len(thin_times) < len(list(rows(dense.samples)))
         for cycle in thin.cycles:
             assert cycle.touchdown in thin_times
 
@@ -1022,10 +988,10 @@ class TestRecording:
         # the touchdown time: the touchdown sample stands for that point
         motor = quiet_motor()
         fall = SimConfig(t_end=0.5, dt=1e-4, theta0=0.05)
-        ((_, touchdown, _),) = regime2.simulate(reference_robot, motor, fall).cycles
+        ((_, touchdown, _),) = regime2.stream(reference_robot, motor, fall).cycles
         n = next(n for n in range(400, 1000) if n * (touchdown / n) == touchdown)
         cfg = SimConfig(t_end=0.5, dt=touchdown / n, theta0=0.05)
-        times = [s.t for s in regime2.simulate(reference_robot, motor, cfg).samples]
+        times = [s.t for s in rows(regime2.stream(reference_robot, motor, cfg).samples)]
         assert times.count(touchdown) == 1
         assert all(b > a for a, b in zip(times, times[1:]))
 
@@ -1034,6 +1000,7 @@ class TestRecording:
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_determinism(self, reference_robot, reference_motor, reference_sim):
-        a = regime2.simulate(reference_robot, reference_motor, reference_sim)
-        b = regime2.simulate(reference_robot, reference_motor, reference_sim)
-        assert a == b
+        a = regime2.stream(reference_robot, reference_motor, reference_sim)
+        b = regime2.stream(reference_robot, reference_motor, reference_sim)
+        assert a.cycles == b.cycles and a.end == b.end
+        assert list(rows(a.samples)) == list(rows(b.samples))

@@ -22,7 +22,7 @@ from brushdyn.sweep import (
     run_sweep,
 )
 
-from helpers import reference_motor, reference_robot
+from helpers import reference_motor, reference_robot, rows
 
 
 @pytest.fixture
@@ -201,8 +201,8 @@ class TestRunSweep:
         statuses = {row.status for row in result.rows}
         assert statuses == {STATUS_NO_CYCLES, STATUS_OK, STATUS_MODEL_DOMAIN}
 
-    def test_regime2_objective_is_the_steady_hop_of_simulate(self, brush):
-        # v_r_regime2 is the speed simulate implies: h*sin(peak) per hop from
+    def test_regime2_objective_is_the_steady_hop_of_stream(self, brush):
+        # v_r_regime2 is the speed stream implies: h*sin(peak) per hop from
         # rest, over the time between the last two lift-offs from rest in its
         # events, on robots that hop once every n = 1 to 50 forcing periods
         rng = np.random.default_rng(31)
@@ -229,8 +229,7 @@ class TestRunSweep:
             cases.append((drawn, drawn_motor, window))
         hops = set()
         for drawn, drawn_motor, window in cases:
-            traj = regime2.simulate(drawn, drawn_motor, window)
-            rest = traj.cycles[window.theta0 > 0.0:]
+            rest = regime2.stream(drawn, drawn_motor, window).cycles[window.theta0 > 0.0:]
             gap = rest[-1].lift_off - rest[-2].lift_off
             expected = drawn.step_height * math.sin(rest[-1].peak) / gap
             got = objective(brush, drawn_motor, drawn, window)
@@ -248,8 +247,9 @@ class TestRunSweep:
         steady = objective(brush, motor, robot, SimConfig(0.5, 1e-4))
         for periods in (5.0, 5.5):
             window = SimConfig(periods * period, period / 400.0, 0.2)
-            traj = regime2.simulate(robot, motor, window)
-            assert len(traj.cycles) == 1 and (traj.samples[-1].theta > 0.0) == (periods > 5.0)
+            traj = regime2.stream(robot, motor, window)
+            *_, last = rows(traj.samples)
+            assert len(traj.cycles) == 1 and (last.theta > 0.0) == (periods > 5.0)
             assert objective(brush, motor, robot, window) == steady
             result = run_sweep(SweepSpec("omega", "v_r_regime2", (motor.speed,)),
                                brush, motor, robot, window)
@@ -260,8 +260,8 @@ class TestRunSweep:
         with pytest.raises(regime2.NoCompletedCycleError):  # motor off, no gravity moment
             objective(brush, MotorParams(0.0, 2e-3, 300.0), robot._replace(gravity_arm=0.0), None)
         runaway, violent = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04), MotorParams(0.01, 0.01, 300.0)
-        with pytest.raises(regime2.ModelDomainError):  # tips over, as in simulate
-            regime2.simulate(runaway, violent, SimConfig(0.5, 1e-4))
+        with pytest.raises(regime2.ModelDomainError):  # tips over, as in stream
+            regime2.stream(runaway, violent, SimConfig(0.5, 1e-4))
         with pytest.raises(regime2.ModelDomainError):
             objective(brush, violent, runaway, SimConfig(0.5, 1e-4))
 
