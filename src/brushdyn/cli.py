@@ -10,7 +10,8 @@ config produces byte-identical results on every run.
 `cmd_*` handler reads only the config and prints nothing), refuse a
 result that overflowed, write `--out` if the command takes it, print to
 stdout. Every failure comes before the write, so a run that fails leaves
-`--out` untouched. `simulate-r2` writes each block of at most
+`--out` untouched. A stdout closed by its reader is no failure: exit 0.
+`simulate-r2` writes each block of at most
 `regime2._BLOCK` samples as `regime2.stream`, the one regime-2 sampler,
 yields it, and reports the last cycle's peak as `peak_angle`.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import classify as classify_mod
@@ -156,7 +158,12 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 write(handle)
             pairs.append(("out", args.out))
-        _emit(pairs, args.json, separator)
+        try:
+            _emit(pairs, args.json, separator)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left; the exit-time flush goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_OK
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -115,8 +115,9 @@ def load_config(path: str) -> RunConfig:
             parser.read_file(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
+    except configparser.Error as exc:  # one line: a message can span several
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse config file {path!r}: {message}") from None
 
     if parser.has_section("DEFAULT"):
         raise ConfigError("[DEFAULT] section is not supported")

@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, printing a pass line for each.
 
+Each criterion is the one test of its behaviour: no unit test restates it.
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 Criteria 1/3/5 carry wall-time budgets which are asserted, not just reported.
+The CLI contract lives in tests/test_cli.py (`FAILING_RUNS`) and in the
+recorded output digests of tests/test_digests.py.
 """
 
-import json
 import math
 import time
 
@@ -21,17 +23,11 @@ from brushdyn import (
     regime2,
 )
 from brushdyn.classify import classify
-from brushdyn.cli import main
 from brushdyn.sweep import STATUS_OK, SweepSpec, run_sweep
 
 from helpers import (
-    BRUSH_SECTION,
-    MOTOR_SECTION,
     REFERENCE_MOTOR,
     REFERENCE_ROBOT,
-    ROBOT_SECTION,
-    SIM_SECTION,
-    config_text,
     random_brush,
     random_motor,
     rk4_hybrid,
@@ -46,30 +42,35 @@ BEAM_SAMPLES = [
 
 
 def test_criterion_1_beam_boundary_conditions():
+    # v(0) = 0 exactly; v'(0) = 0 by a one-sided difference, since the domain
+    # starts at 0; v''(l) = 0 and EI v'''(l) = F cos(alpha) by the analytic
+    # derivatives of the cubic v = A s^3 + B s^2 recovered from two samples
     started = time.perf_counter()
     for brush, force in BEAM_SAMPLES:
         length = brush.length
         tip = regime1.beam_deflection(brush, force, length)
         mid = regime1.beam_deflection(brush, force, length / 2)
-        scale = abs(tip)
+        assert regime1.beam_deflection(brush, force, 0.0) == 0.0
 
-        # cubic coefficients recovered from the two samples: v = A s^3 + B s^2
+        h = 1e-6 * length
+        v1 = regime1.beam_deflection(brush, force, h)
+        v2 = regime1.beam_deflection(brush, force, 2 * h)
+        slope0 = (4.0 * v1 - v2) / (2.0 * h)
+        assert abs(slope0) <= 1e-6 * abs(tip) / length
+
         A = (2.0 * tip - 8.0 * mid) / length**3
         B = (tip - A * length**3) / length**2
-
-        assert abs(regime1.beam_deflection(brush, force, 0.0)) <= 1e-6 * scale
-        slope0 = 3.0 * A * 0.0**2 + 2.0 * B * 0.0
-        assert abs(slope0) <= 1e-6 * scale / length
         curvature_tip = 6.0 * A * length + 2.0 * B
-        assert abs(curvature_tip) <= 1e-6 * abs(2.0 * B)
+        assert abs(curvature_tip) <= 1e-9 * abs(6.0 * A * length)
         shear = brush.flexural_rigidity * 6.0 * A
         load = force * math.cos(brush.inclination)
-        assert abs(shear - load) <= 1e-6 * load
+        assert abs(shear - load) <= 1e-9 * load
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     print(
-        f"criterion 1 PASS: beam boundary conditions on 1000 random cases "
-        f"within 1e-6 relative ({elapsed:.2f}s)"
+        f"criterion 1 PASS: beam boundary conditions on 1000 random cases: "
+        f"v(0) exactly 0, v'(0) within 1e-6 and v''(l), EI v'''(l) within "
+        f"1e-9 relative ({elapsed:.2f}s)"
     )
 
 
@@ -164,9 +165,10 @@ def _random_regime2_case(rng):
 
 
 def _check_against_rk4(traj, robot, motor, cfg, refine=10):
-    """Samples inside each flight to 1e-8 rad and cycle peaks to 1e-4 rad
-    against RK4 plus bisection at dt/refine (grid point k is oracle step
-    refine*k)."""
+    """The number of samples inside a flight, each checked against RK4 plus
+    bisection at dt/refine (grid point k is oracle step refine*k): its time
+    to 1e-15 s, theta to 1e-8 rad and theta_dot to 1e-7 rad/s. Every cycle
+    peak is checked to 1e-4 rad."""
     flights, oracle = rk4_hybrid(robot, motor, cfg.t_end, cfg.dt / refine)
     assert len(traj.cycles) == len(flights)
     assert max(abs(cycle.peak - peak) for cycle, (*_, peak) in zip(traj.cycles, flights)) <= 1e-4
@@ -174,11 +176,12 @@ def _check_against_rk4(traj, robot, motor, cfg, refine=10):
     for cycle in traj.cycles:
         for s in samples:
             if cycle.lift_off < s.t < cycle.touchdown:
-                t, theta, _ = oracle[refine * round(s.t / cfg.dt)]
-                assert abs(t - s.t) <= 1e-9 * cfg.dt
+                t, theta, theta_dot = oracle[refine * round(s.t / cfg.dt)]
+                assert abs(t - s.t) <= 1e-15
                 assert abs(s.theta - theta) <= 1e-8
+                assert abs(s.theta_dot - theta_dot) <= 1e-7
                 checked += 1
-    assert checked > 0
+    return checked
 
 
 def test_criterion_5_rigid_regime_oracles():
@@ -187,19 +190,19 @@ def test_criterion_5_rigid_regime_oracles():
     robot = RobotParams(**REFERENCE_ROBOT)
     motor = MotorParams(**REFERENCE_MOTOR)
     cfg = SimConfig(t_end=0.5, dt=1e-4)
-    _check_against_rk4(regime2.stream(robot, motor, cfg), robot, motor, cfg)
+    assert _check_against_rk4(regime2.stream(robot, motor, cfg), robot, motor, cfg) > 100
 
     rng = np.random.default_rng(55)
     for _ in range(10):
         robot, motor, cfg, traj = _random_regime2_case(rng)
-        _check_against_rk4(traj, robot, motor, cfg)
+        assert _check_against_rk4(traj, robot, motor, cfg) > 0
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     print(
         f"criterion 5 PASS: exact solver matches RK4 plus bisection at dt/10 "
-        f"to 1e-8 rad along every flight and 1e-4 rad in every cycle peak on "
-        f"the reference plus 10 random sets ({elapsed:.2f}s)"
+        f"to 1e-8 rad and 1e-7 rad/s along every flight and 1e-4 rad in every "
+        f"cycle peak on the reference plus 10 random sets ({elapsed:.2f}s)"
     )
 
 
@@ -218,24 +221,28 @@ def test_criterion_6_qualitative_reproduction():
         s = by_time[cycle.touchdown]
         assert s.theta == 0.0 and s.theta_dot == 0.0 and s.theta_ddot == 0.0
 
-    # (c) staircase displacement with steps h*sin(peak)
+    # (c) staircase displacement: x steps by h*sin(peak) at each touchdown
+    # and nowhere else
     xs = [s.x for s in samples]
     assert all(b >= a for a, b in zip(xs, xs[1:]))
-    total = 0.0
-    for cycle in traj.cycles:
-        landing = by_time[cycle.touchdown]
-        total += robot.step_height * math.sin(cycle.peak)
-        assert landing.x == pytest.approx(total, rel=1e-12)
+    expected, cycles = 0.0, iter(traj.cycles)
+    cycle = next(cycles)
+    for s in samples:
+        if cycle is not None and s.t >= cycle.touchdown:
+            expected += robot.step_height * math.sin(cycle.peak)
+            cycle = next(cycles, None)
+        assert s.x == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
-    # (d) steady cycle peaks
+    # (d) at least 6 cycles, their peaks steady after cycle 3
     peaks = [c.peak for c in traj.cycles]
-    assert len(peaks) > 4
+    assert len(peaks) >= 6
     for a, b in zip(peaks[3:], peaks[4:]):
         assert abs(b - a) / a <= 0.01
 
     print(
         "criterion 6 PASS: reference run keeps theta >= 0, zeroes rates at "
-        "impact, steps x by h*sin(peak) and holds peaks steady within 1%"
+        "impact, steps x by h*sin(peak) at each touchdown and nowhere else, "
+        "and holds its 6+ peaks steady within 1% after cycle 3"
     )
 
 
@@ -259,88 +266,4 @@ def test_criterion_7_classifier_transition():
     print(
         "criterion 7 PASS: classification flips to RegimeII exactly when the "
         "lift ratio exceeds 1, with no flip-backs, on a 100-point speed grid"
-    )
-
-
-def _write(tmp_path, name, sections):
-    path = tmp_path / name
-    path.write_text(config_text(sections), encoding="utf-8")
-    return str(path)
-
-
-def test_criterion_8_cli_contract(tmp_path, capsys):
-    full = {
-        "brush": BRUSH_SECTION,
-        "motor": MOTOR_SECTION,
-        "robot": ROBOT_SECTION,
-        "sim": SIM_SECTION,
-        "sweep": dict(parameter="omega", objective="v_r_regime1", grid="100,200,300"),
-    }
-    good = _write(tmp_path, "good.cfg", full)
-
-    # trajectory header
-    out_file = tmp_path / "traj.txt"
-    assert main(["simulate-r2", "--config", good, "--out", str(out_file)]) == 0
-    capsys.readouterr()
-    assert out_file.read_text(encoding="utf-8").splitlines()[0] == "t th thdot thddot x"
-
-    # byte determinism: rerunning every command reproduces stdout and files
-    for argv, out_name in (
-        (["predict-r1", "--config", good], None),
-        (["predict-r1", "--config", good, "--json"], None),
-        (["classify", "--config", good], None),
-        (["simulate-r2", "--config", good, "--out", str(tmp_path / "t.txt")], "t.txt"),
-        (["sweep", "--config", good, "--out", str(tmp_path / "s.csv")], "s.csv"),
-    ):
-        assert main(argv) == 0
-        first_stdout = capsys.readouterr().out
-        first_bytes = (tmp_path / out_name).read_bytes() if out_name else None
-        assert main(argv) == 0
-        assert capsys.readouterr().out == first_stdout
-        if out_name:
-            assert (tmp_path / out_name).read_bytes() == first_bytes
-
-    # exit-code matrix: 0 success, 2 config/validation, 3 resonance, 4 domain
-    brush = BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)
-    resonant = {**full, "motor": {**MOTOR_SECTION, "speed": repr(regime1.natural_frequency(brush))}}
-    runaway = {
-        **full,
-        "robot": {**ROBOT_SECTION, "pivot_inertia": "1e-6", "gravity_arm": "0"},
-        "motor": dict(eccentric_mass="0.01", eccentricity="0.01", speed="300"),
-    }
-    matrix = [
-        ("success", ["predict-r1", "--config", good], 0),
-        ("missing file", ["predict-r1", "--config", str(tmp_path / "no.cfg")], 2),
-        ("unknown key", ["predict-r1", "--config", _write(
-            tmp_path, "k.cfg", {**full, "brush": {**BRUSH_SECTION, "lenght": "1"}})], 2),
-        ("unknown section", ["predict-r1", "--config", _write(
-            tmp_path, "s.cfg", {**full, "brushes": BRUSH_SECTION})], 2),
-        ("missing section", ["predict-r1", "--config", _write(
-            tmp_path, "m.cfg", {"brush": BRUSH_SECTION, "motor": MOTOR_SECTION})], 2),
-        ("vertical brush", ["predict-r1", "--config", _write(
-            tmp_path, "a.cfg",
-            {**full, "brush": {**BRUSH_SECTION, "inclination": repr(math.pi / 2)}})], 2),
-        ("negative modulus", ["predict-r1", "--config", _write(
-            tmp_path, "e.cfg", {**full, "brush": {**BRUSH_SECTION, "young_modulus": "-1"}})], 2),
-        ("zero speed", ["predict-r1", "--config", _write(
-            tmp_path, "w.cfg", {**full, "motor": {**MOTOR_SECTION, "speed": "0"}})], 2),
-        ("coarse dt", ["simulate-r2", "--config", _write(
-            tmp_path, "dt.cfg", {**full, "sim": {**SIM_SECTION, "dt": "0.01"}}),
-            "--out", str(tmp_path / "x1.txt")], 2),
-        ("short window", ["simulate-r2", "--config", _write(
-            tmp_path, "te.cfg", {**full, "sim": {**SIM_SECTION, "t_end": "0.05"}}),
-            "--out", str(tmp_path / "x2.txt")], 2),
-        ("resonant speed", ["predict-r1", "--config", _write(tmp_path, "r.cfg", resonant)], 3),
-        ("tipping body", ["simulate-r2", "--config", _write(tmp_path, "d.cfg", runaway),
-            "--out", str(tmp_path / "x3.txt")], 4),
-    ]
-    assert len(matrix) == 12
-    for name, argv, expected in matrix:
-        code = main(argv)
-        capsys.readouterr()
-        assert code == expected, f"case {name!r}: expected {expected}, got {code}"
-
-    print(
-        "criterion 8 PASS: exact trajectory header, byte-identical reruns of "
-        "every command and a 12-case exit-code matrix on the 0/2/3/4 contract"
     )

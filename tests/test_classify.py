@@ -103,17 +103,6 @@ class TestProperties:
             assert a.regime is b.regime
             assert a.lift_ratio == pytest.approx(b.lift_ratio, rel=1e-9)
 
-    def test_speed_never_recovers_flexible_regime(self, soft_brush):
-        robot = robot_with_weight(0.4905)
-        seen_rigid = False
-        for speed in np.linspace(100.0, 2000.0, 100):
-            motor = MotorParams(1e-3, 2e-3, speed)
-            report = classify(soft_brush, motor, robot)
-            if seen_rigid:
-                assert report.regime is Regime.REGIME_II
-            seen_rigid = seen_rigid or report.regime is Regime.REGIME_II
-        assert seen_rigid
-
     def test_rigid_regime_exactly_when_regime1_is_invalid(self, soft_brush):
         # the lift boundary is regime1_validity's: seeded forces equal to the
         # weight or one ulp either side of it, and a force that is nan

@@ -30,7 +30,6 @@ from brushdyn import (
     regime2,
 )
 from brushdyn.cli import _COMMANDS, build_parser, main
-from brushdyn.config import ConfigError
 from brushdyn.sweep import FAILURES
 
 from helpers import (
@@ -107,12 +106,40 @@ OMEGA_N = repr(regime1.natural_frequency(BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3
 OMEGA_DOMAIN = "out of domain for parameter 'omega'"
 LOG_OVERFLOW = "overflows: stop / start exceeds the float range"
 
-# Runs that fail: case id -> (command, config sections, exit code, the one
-# stderr line after "error: "). TestFailingRuns runs each row in table and
-# --json form, with an earlier --out file for simulate-r2 and sweep, and
-# checks it with assert_failed. To add a failure, add its row here.
+# Runs that fail: case id -> (command, config, exit code, the one stderr line
+# after "error: "). The config is sections, raw text written as is, or None
+# for no file. TestFailingRuns runs each row as --config run.cfg in its
+# directory, in table and --json form, with an earlier --out file for
+# simulate-r2 and sweep, and checks it with assert_failed. To add a failure,
+# add its row here.
 FAILING_RUNS = {
+    # a config file that cannot be read or parsed; a parse error is one line
+    "missing-file": ("predict-r1", None, 2, "cannot read config file 'run.cfg': "
+                     "[Errno 2] No such file or directory: 'run.cfg'"),
+    "no-section-header": ("predict-r1", "speed = 1\n", 2,
+                          "cannot parse config file 'run.cfg': File contains no section "
+                          "headers. file: 'run.cfg', line: 1 'speed = 1\\n'"),
+    "line-without-equals": ("predict-r1", "[motor]\nfoo\n", 2,
+                            "cannot parse config file 'run.cfg': Source contains parsing "
+                            "errors: 'run.cfg' [line  2]: 'foo\\n'"),
+    "duplicate-key": ("predict-r1", "[motor]\nspeed = 1\nspeed = 2\n", 2,
+                      "cannot parse config file 'run.cfg': While reading from 'run.cfg' "
+                      "[line  3]: option 'speed' in section 'motor' already exists"),
+    "duplicate-section": ("predict-r1", "[motor]\nspeed = 1\n[motor]\n", 2,
+                          "cannot parse config file 'run.cfg': While reading from 'run.cfg' "
+                          "[line  3]: section 'motor' already exists"),
     # config errors, before any command runs
+    "unknown-key": ("predict-r1", changed("brush", lenght="1"), 2,
+                    "unknown key 'lenght' in [brush]"),
+    "unknown-section": ("predict-r1", {**FULL, "brushes": BRUSH_SECTION}, 2,
+                        "unknown section [brushes]"),
+    "missing-key": ("predict-r1", {**FULL, "motor": {"eccentric_mass": "1e-3", "speed": "300"}},
+                    2, "missing key 'eccentricity' in [motor]"),
+    "bad-number": ("predict-r1", changed("motor", speed="fast"), 2,
+                   "value 'fast' for 'speed' in [motor] is not a number"),
+    "grid-and-range": ("sweep", omega_sweep("k_theta", grid="1,2,3", start="1", stop="3",
+                                            points="3"), 2,
+                       "[sweep] takes either grid= or start/stop/points, not both"),
     "default-section": ("sweep", {"DEFAULT": {"speed": "300.0"}, **FULL}, 2,
                         "[DEFAULT] section is not supported"),
     "bare-default-section": ("sweep", {"DEFAULT": {}, **FULL}, 2,
@@ -132,6 +159,12 @@ FAILING_RUNS = {
     "v_r_regime2-without-robot": (
         "sweep", {name: keys for name, keys in omega_sweep("v_r_regime2", grid="250, 300").items()
                   if name != "robot"}, 2, "objective v_r_regime2 needs robot parameters"),
+    # a parameter outside its domain
+    "vertical-brush": ("predict-r1", changed("brush", inclination=repr(math.pi / 2)), 2,
+                       "alpha out of (0, pi/2)"),
+    "negative-modulus": ("predict-r1", changed("brush", young_modulus="-1"), 2,
+                         "young_modulus must be > 0"),
+    "zero-speed": ("predict-r1", changed("motor", speed="0"), 2, "speed must be > 0"),
     # 1e400 parses to inf; every command refuses it as a config error
     **{f"{command}-{key}-1e400": (command, changed(section, **{key: "1e400"}), 2,
                                   f"{key} must be finite")
@@ -143,6 +176,8 @@ FAILING_RUNS = {
     # the window: a 200th of a period, a finite step count, at most 1e7 steps
     "dt-above-a-200th-period": ("simulate-r2", changed("sim", dt="2e-4"), 2,
                                 "dt 0.0002 exceeds T/200 = 0.00010472 s"),
+    "short-window": ("simulate-r2", changed("sim", t_end="0.05"), 2,
+                     "t_end 0.05 below five forcing periods 0.10472 s"),
     "t_end-over-dt-overflows": ("simulate-r2", changed("sim", t_end="1e300", dt="1e-10"), 2,
                                 "t_end / dt must be finite"),
     # finite t_end / dt, but ~1e302 forcing periods to walk
@@ -238,49 +273,6 @@ class TestConfigParsing:
         assert cfg.robot.gravity == 9.81
         assert cfg.sim.theta0 == 0.0
         assert cfg.sim.record_stride == 1
-
-    def test_unknown_key_fatal(self, tmp_path):
-        sections = {"brush": {**BRUSH_SECTION, "lenght": "0.02"}}
-        with pytest.raises(ConfigError, match="lenght"):
-            load_config(write_config(tmp_path, sections))
-
-    def test_unknown_section_fatal(self, tmp_path):
-        with pytest.raises(ConfigError, match="brushes"):
-            load_config(write_config(tmp_path, {"brushes": BRUSH_SECTION}))
-
-    def test_missing_key_fatal(self, tmp_path):
-        sections = {"motor": {"eccentric_mass": "1e-3", "speed": "300"}}
-        with pytest.raises(ConfigError, match="eccentricity"):
-            load_config(write_config(tmp_path, sections))
-
-    def test_bad_number_fatal(self, tmp_path):
-        sections = {"motor": {**MOTOR_SECTION, "speed": "fast"}}
-        with pytest.raises(ConfigError, match="fast"):
-            load_config(write_config(tmp_path, sections))
-
-    def test_duplicate_key_fatal(self, tmp_path):
-        path = tmp_path / "dup.cfg"
-        path.write_text("[motor]\nspeed = 1\nspeed = 2\n", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_config(str(path))
-
-    def test_missing_file_fatal(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            load_config(str(tmp_path / "absent.cfg"))
-
-    def test_sweep_grid_and_range_exclusive(self, tmp_path):
-        sections = {
-            "sweep": dict(
-                parameter="omega",
-                objective="k_theta",
-                grid="1,2,3",
-                start="1",
-                stop="3",
-                points="3",
-            )
-        }
-        with pytest.raises(ConfigError, match="not both"):
-            load_config(write_config(tmp_path, sections))
 
     def test_sweep_explicit_grid(self, tmp_path):
         sections = {
@@ -438,19 +430,6 @@ class TestSimulateR2:
         assert payload["mean_v_r"] == pytest.approx(
             float(x_last) / float(t_last), rel=1e-12
         )
-
-    def test_byte_determinism(self, tmp_path, capsys):
-        path = write_config(tmp_path, FULL)
-        out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
-        code_a, stdout_a, _ = run_cli(
-            capsys, ["simulate-r2", "--config", path, "--out", str(out_a)]
-        )
-        code_b, stdout_b, _ = run_cli(
-            capsys, ["simulate-r2", "--config", path, "--out", str(out_b)]
-        )
-        assert code_a == code_b == 0
-        assert stdout_a.replace(str(out_a), "") == stdout_b.replace(str(out_b), "")
-        assert out_a.read_bytes() == out_b.read_bytes()
 
     @pytest.mark.parametrize(
         "section, changes",
@@ -722,20 +701,6 @@ class TestSweepCommand:
         assert_failed((proc.returncode, proc.stdout, proc.stderr), 2,
                       "sweep range needs at most 1e+06 points", out_path)
 
-    def test_csv_byte_determinism(self, tmp_path, capsys):
-        sections = {
-            "brush": BRUSH_SECTION,
-            "motor": MOTOR_SECTION,
-            "sweep": dict(
-                parameter="omega", objective="v_r_regime1", grid="100,200,300"
-            ),
-        }
-        path = write_config(tmp_path, sections)
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(capsys, ["sweep", "--config", path, "--out", str(out_a)])
-        run_cli(capsys, ["sweep", "--config", path, "--out", str(out_b)])
-        assert out_a.read_bytes() == out_b.read_bytes()
-
 
 SHIPPED_RUNS = [
     pytest.param(command, str(ROOT / "configs" / name), id=f"{command}-{name}")
@@ -840,6 +805,43 @@ class TestEntryPoint:
             env=SRC_ENV,
         )
         assert proc.returncode == 2
+
+    @staticmethod
+    def run_into_closed_pipe(argv, unbuffered):
+        """(exit code, stderr) of python -m brushdyn argv with stdout on a pipe
+        whose read end is closed before it starts."""
+        read, write = os.pipe()
+        os.close(read)
+        env = {key: value for key, value in SRC_ENV.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run([sys.executable, "-m", "brushdyn", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write)
+        return proc.returncode, proc.stderr
+
+    # a reader that leaves early, such as `brushdyn ... | head -1`, ends no
+    # run in failure: exit 0, nothing on stderr, and --out as a normal run's
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_closed_stdout_is_a_successful_run(self, tmp_path, capsys, command, unbuffered):
+        out_path = tmp_path / "out.txt"
+        argv = [command, "--config", str(ROOT / "configs" / "reference.cfg")]
+        argv += ["--out", str(out_path)] if command in WRITERS else []
+        assert self.run_into_closed_pipe(argv, unbuffered) == (0, "")
+        if command in WRITERS:
+            written = out_path.read_bytes()
+            assert main(argv) == 0
+            capsys.readouterr()
+            assert out_path.read_bytes() == written
+
+    def test_out_into_a_closed_pipe_exits_2(self):
+        # /dev/stdout is the closed pipe too: the --out write fails, not stdout
+        argv = ["sweep", "--config", str(ROOT / "configs" / "reference.cfg"),
+                "--out", "/dev/stdout"]
+        assert self.run_into_closed_pipe(argv, False) == (2, "error: [Errno 32] Broken pipe\n")
 
     def test_runtime_imports_only_the_standard_library(self):
         # -S: no site-packages on the path, so a stray import fails here too
@@ -1022,11 +1024,17 @@ class TestNonFiniteValues:
 class TestFailingRuns:
     @pytest.mark.parametrize("case", list(FAILING_RUNS))
     @FORMS
-    def test_run_exits_with_its_code_and_one_error_line(self, tmp_path, capsys, case, form):
-        command, sections, code, error = FAILING_RUNS[case]
+    def test_run_exits_with_its_code_and_one_error_line(
+        self, tmp_path, monkeypatch, capsys, case, form
+    ):
+        command, config, code, error = FAILING_RUNS[case]
+        monkeypatch.chdir(tmp_path)  # a line that names the config names run.cfg
+        if config is not None:
+            text = config if isinstance(config, str) else config_text(config)
+            Path("run.cfg").write_text(text, encoding="utf-8")
         out_path = tmp_path / "out.txt"
         out_path.write_bytes(EARLIER_OUT)
-        argv = [command, "--config", write_config(tmp_path, sections), *form]
+        argv = [command, "--config", "run.cfg", *form]
         argv += ["--out", str(out_path)] if command in WRITERS else []
         assert_failed(run_cli(capsys, argv), code, error, out_path)
 

@@ -17,8 +17,8 @@ def test_every_recorded_run_gives_its_recorded_bytes(tmp_path, monkeypatch):
     # shipped configs, trajectory draws, edge configs, v_r_regime2 sweeps
     # (reference grid in both forms and without [sim], r2_sweep draws of
     # seed 1 in both forms and of seeds 2-6 in table form), TestFuzz corpus
-    # per command
-    assert len(recorded) == 16 + 6 + 3 + 3 + 12 + 30 + 8
+    # per command, and a v_r_regime1 grid sweep
+    assert len(recorded) == 16 + 6 + 3 + 3 + 12 + 30 + 8 + 1
     moved = sorted(name for name, run in recorded.items()
                    if replay(run) != {key: run[key] for key in FIELDS})
     assert not moved, moved
