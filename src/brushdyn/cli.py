@@ -96,7 +96,7 @@ def cmd_classify(cfg: RunConfig) -> tuple:
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple:
-    result = sweep_mod.run_sweep(cfg.sweep, cfg.brush, cfg.motor, cfg.robot, cfg.sim)
+    result = sweep_mod.run_sweep(cfg.sweep, cfg.brush, cfg.motor, cfg.robot)
 
     def write(handle) -> None:
         handle.write(SWEEP_HEADER + "\n")

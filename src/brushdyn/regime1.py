@@ -107,10 +107,10 @@ def stick_phase_angle(brush: BrushParams, motor: MotorParams) -> float:
 def step_displacement(brush: BrushParams, motor: MotorParams) -> float:
     """Net horizontal step per motor revolution, l*cos(alpha-theta) - l*cos(alpha).
 
-    Positive for 0 < theta <= alpha. When theta exceeds alpha the deformed
-    brush has crossed the vertical through its tip and the same-side geometry
-    no longer holds: that raises ModelDomainError (OverflowError for an inf or
-    nan theta, where the force overflowed).
+    Evaluated as 2*l*sin(alpha - theta/2)*sin(theta/2), which does not cancel
+    at small theta. Positive for 0 < theta <= alpha. Past alpha the brush has
+    crossed the vertical through its tip and the same-side geometry fails:
+    ModelDomainError (OverflowError for an inf or nan theta: the force overflowed).
     """
     theta = stick_phase_angle(brush, motor)
     alpha = brush.inclination
@@ -121,7 +121,7 @@ def step_displacement(brush: BrushParams, motor: MotorParams) -> float:
             f"stick-phase angle {theta:.6g} rad exceeds brush inclination "
             f"{alpha:.6g} rad"
         )
-    return brush.length * (math.cos(alpha - theta) - math.cos(alpha))
+    return 2.0 * brush.length * math.sin(alpha - theta / 2.0) * math.sin(theta / 2.0)
 
 
 def ground_speed(brush: BrushParams, motor: MotorParams) -> float:

@@ -62,12 +62,12 @@ PARAMETERS: dict[str, tuple[Callable[[float], bool], Callable]] = {
 }
 
 
-# Objective name -> f(brush, motor, robot, sim).
+# Objective name -> f(brush, motor, robot).
 OBJECTIVES: dict[str, Callable[..., float]] = {
-    "v_r_regime1": lambda b, m, *_: regime1.ground_speed(b, m),
-    "v_r_regime2": lambda b, m, r, s: regime2.steady_speed(r, m),
-    "forced_amplitude_abs": lambda b, m, *_: abs(regime1.forced_amplitude(b, m)),
-    "k_theta": lambda b, *_: regime1.lumped_stiffness(b),
+    "v_r_regime1": lambda b, m, _: regime1.ground_speed(b, m),
+    "v_r_regime2": lambda b, m, r: regime2.steady_speed(r, m),
+    "forced_amplitude_abs": lambda b, m, _: abs(regime1.forced_amplitude(b, m)),
+    "k_theta": lambda b, m, _: regime1.lumped_stiffness(b),
 }
 
 
@@ -155,7 +155,7 @@ def run_sweep(
     Rows come back in grid order; grid points are independent, so the result
     does not depend on evaluation order. argmax is the parameter value of the
     best ok row (the first of equal best rows), or None if no point evaluated.
-    No objective reads sim: it stays for callers that pass it.
+    No objective reads sim: it stays only for bench/run.py's five-argument call.
     """
     if spec.objective == "v_r_regime2" and robot is None:
         raise ValidationError("objective v_r_regime2 needs robot parameters")
@@ -165,7 +165,7 @@ def run_sweep(
     rows = []
     for value in spec.grid:
         try:
-            objective = evaluate(*apply(value, brush, motor), robot, sim)
+            objective = evaluate(*apply(value, brush, motor), robot)
             if not math.isfinite(objective):
                 raise OverflowError(f"{spec.objective} is {objective!r}")
             rows.append(new(SweepRow, (value, objective, STATUS_OK)))

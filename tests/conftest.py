@@ -27,11 +27,6 @@ def reference_motor():
     return MotorParams(**REFERENCE_MOTOR)
 
 
-@pytest.fixture
-def reference_sim():
-    return SimConfig(t_end=0.5, dt=1e-4, record_stride=1)
-
-
 @pytest.fixture(scope="session")
 def reference_trajectory():
     robot = RobotParams(**REFERENCE_ROBOT)

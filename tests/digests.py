@@ -10,8 +10,9 @@ record, so "same bytes" is one test.
 
     PYTHONPATH=src python tests/digests.py
 
-recomputes every run and rewrites digests.json. Rewriting it changes the
-documented output: list each digest that moved, and why.
+recomputes every run, rewrites digests.json and prints the name of each run
+whose record it changed, added or dropped. Such a run changes the documented
+output: list each one, and why.
 
 The shipped-config and corpus runs are made here. A config-text run is its
 recorded input: its "text" and "argv" in digests.json, and nothing else. To
@@ -105,11 +106,16 @@ def runs() -> dict[str, dict]:
 
 
 def main() -> None:
+    recorded = json.loads(FILE.read_text(encoding="utf-8"))
     table = runs()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         for run in table.values():
             run.update(replay(run))
+    for name in sorted(recorded.keys() | table.keys()):
+        if recorded.get(name) != table.get(name):
+            print("added" if name not in recorded else "dropped" if name not in table
+                  else "changed", name)
     FILE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} runs to {FILE}")
 

@@ -120,8 +120,9 @@ def rows(blocks: Iterable[tuple]) -> Iterator[Row]:
 # ---------------------------------------------------------------------------
 # exact rational trigonometry (oracle for the step-geometry formulas)
 
-def cos_exact(x: float, terms: int = 40) -> Fraction:
-    """Cosine of the exact binary64 value of x, in rational arithmetic."""
+def cos_exact(x: float | Fraction, terms: int = 40) -> Fraction:
+    """Cosine of x, a float at its exact binary64 value or a Fraction, in
+    rational arithmetic."""
     xf = Fraction(x)
     x2 = xf * xf
     total = Fraction(0)

@@ -33,6 +33,10 @@ def soft_brush():
 
 
 class TestClassification:
+    def test_regimes_are_the_three_readme_names(self):
+        # classify prints a Regime's value; README names these three
+        assert [regime.value for regime in Regime] == ["RegimeI", "RegimeII", "Transitional"]
+
     def test_double_weight_forcing_is_rigid_regime(self, soft_brush):
         robot = robot_with_weight(1.0)
         motor = motor_with_amplitude(2.0, speed=300.0)

@@ -1,6 +1,7 @@
 """Flexible-brush closed forms: bending, lumped oscillator, speed prediction."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -225,10 +226,26 @@ class TestStepDisplacement:
         amplitude = 3.0 * 0.1 / math.cos(alpha)
         motor = motor_with_amplitude(amplitude)
         theta = regime1.stick_phase_angle(b, motor)
-        expected = float(cos_exact(alpha - theta) - cos_exact(alpha))
+        expected = float(cos_exact(Fraction(alpha) - Fraction(theta)) - cos_exact(alpha))
         delta = regime1.step_displacement(b, motor)
         assert delta == pytest.approx(expected, rel=1e-12)
         assert delta == pytest.approx(0.0671, abs=5e-5)
+
+    def test_small_angles_do_not_cancel(self):
+        # l*(cos(alpha - theta) - cos(alpha)) in rational arithmetic from the
+        # float l, alpha and theta, for theta from 1e-12 up to alpha
+        rng = np.random.default_rng(1414)
+        for _ in range(200):
+            b = random_brush(rng)
+            alpha = b.inclination
+            target = 10 ** rng.uniform(-12.0, math.log10(alpha))
+            motor = motor_with_amplitude(3.0 * b.flexural_rigidity * target
+                                         / (b.length**2 * math.cos(alpha)))
+            theta = regime1.stick_phase_angle(b, motor)
+            exact = Fraction(b.length) * (cos_exact(Fraction(alpha) - Fraction(theta))
+                                          - cos_exact(alpha))
+            delta = regime1.step_displacement(b, motor)
+            assert abs(Fraction(delta) - exact) <= Fraction(1e-15) * exact, (b, theta)
 
     def test_positive_up_to_alpha(self):
         alpha = 0.7

@@ -26,11 +26,6 @@ from helpers import reference_motor, reference_robot, rows
 
 
 @pytest.fixture
-def brush():
-    return BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)
-
-
-@pytest.fixture
 def motor():
     return MotorParams(1e-3, 2e-3, 300.0)
 
@@ -157,26 +152,12 @@ class TestRunSweep:
 
     def test_regime2_objective_flags_quiet_points(self, brush):
         # at 100 rad/s the forcing moment never beats gravity: no cycles
-        robot = reference_robot()
-        motor = reference_motor()
-        sim = SimConfig(t_end=0.5, dt=1e-4, record_stride=1000)
         spec = SweepSpec("omega", "v_r_regime2", (100.0, 300.0))
-        result = run_sweep(spec, brush, motor, robot, sim)
+        result = run_sweep(spec, brush, reference_motor(), reference_robot())
         assert result.rows[0].status == STATUS_NO_CYCLES
         assert result.rows[1].status == STATUS_OK
         assert result.rows[1].objective > 0.0
         assert result.argmax == 300.0
-
-    def test_regime2_objective_passes_the_window_guards_by(self, brush):
-        # the window is shorter than five forcing periods at 10 rad/s, and
-        # its dt is above T/200 at 4000 rad/s; neither row reads invalid
-        robot = reference_robot()
-        motor = reference_motor()
-        sim = SimConfig(t_end=0.5, dt=1e-4, record_stride=1000)
-        spec = SweepSpec("omega", "v_r_regime2", (10.0, 300.0, 4000.0))
-        result = run_sweep(spec, brush, motor, robot, sim)
-        statuses = [row.status for row in result.rows]
-        assert statuses == [STATUS_NO_CYCLES, STATUS_OK, STATUS_OK]  # 10 rad/s cannot lift
 
     @pytest.mark.parametrize("sim", [
         SimConfig(0.5, 1e-4),
@@ -224,7 +205,7 @@ class TestRunSweep:
             rest = regime2.stream(drawn, drawn_motor, window).cycles[window.theta0 > 0.0:]
             gap = rest[-1].lift_off - rest[-2].lift_off
             expected = drawn.step_height * math.sin(rest[-1].peak) / gap
-            got = objective(brush, drawn_motor, drawn, window)
+            got = objective(brush, drawn_motor, drawn)
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0), window
             hops.add(round(gap / drawn_motor.period))
         assert min(hops) == 1 and max(hops) >= 50
@@ -232,30 +213,29 @@ class TestRunSweep:
     def test_regime2_objective_needs_no_hop_from_rest_in_the_window(self, brush):
         # TestWindow's tilted flight lands alone; over 5.5 periods the flight
         # from rest after it is airborne at the window end. Neither window
-        # holds a hop from rest, and the objective is the reference window's
+        # holds a hop from rest, and the sweep row is the steady hop
         objective = OBJECTIVES["v_r_regime2"]
         robot, motor = reference_robot(), reference_motor()
         period = motor.period
-        steady = objective(brush, motor, robot, SimConfig(0.5, 1e-4))
+        steady = objective(brush, motor, robot)
         for periods in (5.0, 5.5):
             window = SimConfig(periods * period, period / 400.0, 0.2)
             traj = regime2.stream(robot, motor, window)
             *_, last = rows(traj.samples)
             assert len(traj.cycles) == 1 and (last.theta > 0.0) == (periods > 5.0)
-            assert objective(brush, motor, robot, window) == steady
             result = run_sweep(SweepSpec("omega", "v_r_regime2", (motor.speed,)),
                                brush, motor, robot, window)
             assert result.rows == ((motor.speed, steady, STATUS_OK),)
         lift = math.sqrt(robot.weight * robot.gravity_arm / (1e-3 * 2e-3 * robot.forcing_arm))
         with pytest.raises(regime2.NoCompletedCycleError):  # below lift-off
-            objective(brush, MotorParams(1e-3, 2e-3, 0.9 * lift), robot, SimConfig(0.5, 1e-4))
+            objective(brush, MotorParams(1e-3, 2e-3, 0.9 * lift), robot)
         with pytest.raises(regime2.NoCompletedCycleError):  # motor off, no gravity moment
-            objective(brush, MotorParams(0.0, 2e-3, 300.0), robot._replace(gravity_arm=0.0), None)
+            objective(brush, MotorParams(0.0, 2e-3, 300.0), robot._replace(gravity_arm=0.0))
         runaway, violent = RobotParams(0.05, 1e-6, 0.05, 0.0, 0.04), MotorParams(0.01, 0.01, 300.0)
         with pytest.raises(regime2.ModelDomainError):  # tips over, as in stream
             regime2.stream(runaway, violent, SimConfig(0.5, 1e-4))
         with pytest.raises(regime2.ModelDomainError):
-            objective(brush, violent, runaway, SimConfig(0.5, 1e-4))
+            objective(brush, violent, runaway)
 
     def test_regime2_point_airborne_at_the_horizon_is_no_cycles(self, brush):
         # rho = c_g/c_f ~ 8e-7 at 1e5 rad/s: the flight from rest lifts off,
@@ -339,10 +319,6 @@ class TestRunSweep:
         assert [row.objective for row in result.rows[:2]] == [None, None]
         assert math.isfinite(result.rows[2].objective)
         assert result.argmax == 1e-100
-
-    def test_deterministic(self, brush, motor):
-        spec = SweepSpec.from_range("omega", "v_r_regime1", 50.0, 500.0, 20)
-        assert run_sweep(spec, brush, motor) == run_sweep(spec, brush, motor)
 
 
 class TestFailures:
