@@ -1,4 +1,4 @@
-"""Command surface: the formats, files, exit codes and entry point the CLI adds."""
+"""Command surface: output formats, exit codes, determinism."""
 
 import codecs
 import errno
@@ -349,6 +349,34 @@ class TestPredictR1:
         assert validity.valid
         assert values == (*map(repr, prediction), "true", repr(validity.margin))
 
+    def test_json_mode(self, tmp_path, capsys):
+        path = write_config(tmp_path, FULL)
+        code, out, _ = run_cli(capsys, ["predict-r1", "--config", path, "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {
+            "k_theta",
+            "I_theta",
+            "omega_n",
+            "t_bar",
+            "omega_star",
+            "theta_hat",
+            "delta",
+            "v_r",
+            "regime1_valid",
+            "margin",
+        }
+        assert payload["regime1_valid"] is True
+
+    def test_motor_off(self, tmp_path, capsys):
+        sections = {**FULL, "motor": {**MOTOR_SECTION, "eccentric_mass": "0"}}
+        path = write_config(tmp_path, sections)
+        code, out, _ = run_cli(capsys, ["predict-r1", "--config", path, "--json"])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["delta"] == 0.0
+        assert payload["v_r"] == 0.0
+        assert payload["regime1_valid"] is True
 
 class TestSimulateR2:
     def test_header_and_columns(self, tmp_path, capsys):
@@ -402,6 +430,30 @@ class TestSimulateR2:
         assert payload["mean_v_r"] == pytest.approx(
             float(x_last) / float(t_last), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "section, changes",
+        [
+            ("sim", {}),  # the reference run
+            ("sim", {"theta0": "0.05", "record_stride": "7"}),
+            ("motor", {"speed": "100.0"}),  # too weak to lift: rest throughout
+        ],
+    )
+    def test_out_file_is_repr_of_every_sample(self, tmp_path, capsys, section, changes):
+        sections = {**FULL, section: {**FULL[section], **changes}}
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "traj.txt"
+        code, _, _ = run_cli(
+            capsys, ["simulate-r2", "--config", path, "--out", str(out_path)]
+        )
+        assert code == 0
+        cfg = load_config(path)
+        samples = rows(regime2.stream(cfg.robot, cfg.motor, cfg.sim).samples)
+        expected = "t th thdot thddot x\n" + "".join(
+            f"{s.t!r} {s.theta!r} {s.theta_dot!r} {s.theta_ddot!r} {s.x!r}\n"
+            for s in samples
+        )
+        assert out_path.read_bytes() == expected.encode("utf-8")
 
     def test_writes_in_constant_memory(self, tmp_path, capsys):
         # 50,000 samples: holding them all would take ~8 MB
@@ -502,6 +554,51 @@ class TestSimulateR2:
         assert mid_flight >= 10 and grounded >= 10 and tilted >= 50
 
 
+class TestClassify:
+    def test_rigid_regime_line(self, tmp_path, capsys):
+        sections = {
+            **FULL,
+            "motor": dict(eccentric_mass="1e-3", eccentricity="2e-3", speed="1000"),
+        }
+        path = write_config(tmp_path, sections)
+        code, out, _ = run_cli(capsys, ["classify", "--config", path])
+        assert code == 0
+        assert out.splitlines()[0] == "regime: RegimeII"
+        assert "lift_ratio: " in out
+
+    def test_motor_off_is_flexible(self, tmp_path, capsys):
+        sections = {**FULL, "motor": {**MOTOR_SECTION, "eccentric_mass": "0"}}
+        path = write_config(tmp_path, sections)
+        code, out, _ = run_cli(capsys, ["classify", "--config", path])
+        assert code == 0
+        assert out.splitlines()[0] == "regime: RegimeI"
+
+    def test_rationale_tags(self, tmp_path, capsys):
+        path = write_config(tmp_path, FULL)
+        code, out, _ = run_cli(capsys, ["classify", "--config", path])
+        assert code == 0
+        assert "(ii)" in out
+
+    def test_transitional_cites_fast_drive(self, tmp_path, capsys):
+        # speed far above the brush bandwidth but too weak to lift the body
+        sections = {
+            **FULL,
+            "motor": dict(eccentric_mass="1e-6", eccentricity="1e-3", speed="15000"),
+        }
+        path = write_config(tmp_path, sections)
+        code, out, _ = run_cli(capsys, ["classify", "--config", path])
+        assert code == 0
+        assert out.splitlines()[0] == "regime: Transitional"
+        assert "(i)" in out
+
+    def test_json_mode(self, tmp_path, capsys):
+        path = write_config(tmp_path, FULL)
+        code, out, _ = run_cli(capsys, ["classify", "--config", path, "--json"])
+        payload = json.loads(out)
+        assert payload["regime"] == "RegimeI"
+        assert isinstance(payload["rationale"], list)
+
+
 class TestSweepCommand:
     def test_csv_layout(self, tmp_path, capsys):
         sections = {
@@ -527,6 +624,61 @@ class TestSweepCommand:
             assert status == "ok"
             float(value), float(objective)
         assert lines[-1] == "# argmax=400.0"
+
+    def test_resonance_rows_flagged(self, tmp_path, capsys):
+        omega_n = float(OMEGA_N)
+        grid = f"{0.5 * omega_n!r},{omega_n!r},{2.0 * omega_n!r}"
+        sections = {
+            "brush": BRUSH_SECTION,
+            "motor": MOTOR_SECTION,
+            "sweep": dict(parameter="omega", objective="forced_amplitude_abs", grid=grid),
+        }
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
+        assert code == 0
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        statuses = [line.split(",")[3] for line in lines[1:4]]
+        assert statuses == ["ok", "resonance_guard", "ok"]
+        assert lines[2].split(",")[2] == ""
+
+    def test_alpha_stiffness_column_increases(self, tmp_path, capsys):
+        sections = {
+            "brush": BRUSH_SECTION,
+            "motor": MOTOR_SECTION,
+            "sweep": dict(
+                parameter="alpha",
+                objective="k_theta",
+                start="0.1",
+                stop="1.4",
+                points="10",
+            ),
+        }
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
+        assert code == 0
+        rows = out_path.read_text(encoding="utf-8").splitlines()[1:-1]
+        objectives = [float(row.split(",")[2]) for row in rows]
+        assert all(b > a for a, b in zip(objectives, objectives[1:]))
+
+    def test_json_mode(self, tmp_path, capsys):
+        sections = {
+            "brush": BRUSH_SECTION,
+            "motor": MOTOR_SECTION,
+            "sweep": dict(
+                parameter="omega", objective="v_r_regime1", grid="100,200,300"
+            ),
+        }
+        path = write_config(tmp_path, sections)
+        out_path = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(
+            capsys, ["sweep", "--config", path, "--out", str(out_path), "--json"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rows"] == 3
+        assert payload["argmax"] == 300.0
 
     def test_points_above_the_cap_exit_2_before_the_grid_is_built(self, tmp_path):
         # Under a 400 MB address-space limit a 1e9-point grid fails with
@@ -633,6 +785,17 @@ class TestEntryPoint:
         assert not any(name.startswith("_") for name in brushdyn.__all__)
         text = pydoc.render_doc(brushdyn, renderer=pydoc.plaintext)  # what help() shows
         assert all(f"class {name}(" in text for name in self.PUBLIC if name[0].isupper())
+
+    def test_python_dash_m(self, tmp_path):
+        path = write_config(tmp_path, FULL)
+        proc = subprocess.run(
+            [sys.executable, "-m", "brushdyn", "predict-r1", "--config", path, "--json"],
+            capture_output=True,
+            text=True,
+            env=SRC_ENV,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["regime1_valid"] is True
 
     def test_unknown_command_exits_2(self, tmp_path):
         proc = subprocess.run(
@@ -778,6 +941,30 @@ class TestEntryPoint:
 
 
 class TestNonFiniteValues:
+    @pytest.mark.parametrize("sim", [
+        {**SIM_SECTION, "t_end": "1e300"},
+        dict(t_end="1e-6", dt="1e-7", theta0="0.3", record_stride="7"),
+        SIM_SECTION,
+        None,
+    ], ids=["huge-window", "short-tilted-window", "reference", "no-sim"])
+    def test_huge_window_or_none_leaves_the_sweep_rows_alone(self, tmp_path, capsys, sim):
+        # no [sim] section enters v_r_regime2: every window gives the steady
+        # hops of steady_speed, and so does a config without one
+        sweep = dict(parameter="omega", objective="v_r_regime2", grid="100, 250, 300, 4000")
+        sections = {**FULL, "sim": sim, "sweep": sweep}
+        path = write_config(tmp_path, {name: keys for name, keys in sections.items() if keys})
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
+        assert (code, err) == (0, "")
+        assert out.startswith("rows 4\nargmax 4000.0\n")
+        robot = RobotParams(0.05, 2e-5, 0.03, 0.003, 0.04)
+        hops = [repr(regime2.steady_speed(robot, MotorParams(1e-3, 2e-3, speed)))
+                for speed in (250.0, 300.0, 4000.0)]
+        rows = out_path.read_text(encoding="utf-8").splitlines()
+        assert rows[1:] == ["omega,100.0,,no_cycles", f"omega,250.0,{hops[0]},ok",
+                            f"omega,300.0,{hops[1]},ok", f"omega,4000.0,{hops[2]},ok",
+                            "# argmax=4000.0"]
+
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(config_text(FULL).replace("300.0", "300.0\xb0").encode("latin-1"))
@@ -865,38 +1052,57 @@ class TestFailingRuns:
 
 
 class TestFailureTable:
-    """One input per error class in sweep.FAILURES, run as a one-point sweep:
-    the row status is the documented one. The exit code and stderr label of
-    each class are FAILING_RUNS rows (resonant-speed, overswinging-brush,
-    zero-speed, predict-r1-speed-1e300 and predict-r1-length-1e-200)."""
+    """One input per error class in sweep.FAILURES, run as a one-point sweep
+    and, where a command can raise it, as a single CLI command: the row
+    status, the exit code and the stderr label are the documented ones."""
 
-    # class -> (row status, exit code, stderr label), and the sweep
-    # parameter, grid value and objective of an input that raises it
+    # class -> (row status, exit code, stderr label), the command and the
+    # (section, key, value) of the single run, and the sweep parameter, grid
+    # value and objective of the same input. No command raises
+    # NoCompletedCycleError: simulate-r2 reports zero cycles.
     CASES = {
         ResonanceError: (("resonance_guard", 3, "resonance: "),
+                         "predict-r1", ("motor", "speed", OMEGA_N),
                          ("omega", OMEGA_N, "forced_amplitude_abs")),
         ModelDomainError: (("model_domain", 4, "model domain: "),
+                           "predict-r1", ("motor", "speed", "3500.0"),
                            ("omega", "3500.0", "v_r_regime1")),
-        NoCompletedCycleError: (("no_cycles", 2, ""), ("omega", "100.0", "v_r_regime2")),
-        ValidationError: (("invalid", 2, ""), ("EI", "1e300", "k_theta")),
+        NoCompletedCycleError: (("no_cycles", 2, ""), None, None,
+                                ("omega", "100.0", "v_r_regime2")),
+        ValidationError: (("invalid", 2, ""),
+                          "predict-r1", ("brush", "young_modulus", "1e312"),
+                          ("EI", "1e300", "k_theta")),
         OverflowError: (("invalid", 2, "arithmetic overflow: "),
+                        "predict-r1", ("motor", "speed", "1e300"),
                         ("omega", "1e300", "forced_amplitude_abs")),
         ArithmeticError: (("invalid", 2, "arithmetic underflow: "),
+                          "predict-r1", ("brush", "length", "1e-200"),
                           ("l", "1e-200", "k_theta")),
     }
+    LABELS = [label for (_, _, label), *_ in CASES.values() if label]
 
     def test_cases_cover_every_class_and_its_entry(self):
-        assert {cls: expected for cls, (expected, _) in self.CASES.items()} == FAILURES
+        assert {cls: expected for cls, (expected, *_) in self.CASES.items()} == FAILURES
 
     @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
     def test_sweep_row_status(self, tmp_path, cls):
-        (status, _, _), (parameter, grid, objective) = self.CASES[cls]
+        (status, _, _), _, _, (parameter, grid, objective) = self.CASES[cls]
         sweep = dict(parameter=parameter, objective=objective, grid=grid)
         path = write_config(tmp_path, {**FULL, "sweep": sweep})
         out_path = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", path, "--out", str(out_path)]) == 0
         rows = out_path.read_text(encoding="utf-8").splitlines()[1:-1]
         assert [row.rsplit(",", 1)[1] for row in rows] == [status]
+
+    @pytest.mark.parametrize("cls", [cls for cls, case in CASES.items() if case[1]],
+                             ids=lambda cls: cls.__name__)
+    def test_single_run_exit_code_and_label(self, tmp_path, capsys, cls):
+        (_, code, label), command, (section, key, value), _ = self.CASES[cls]
+        path = write_config(tmp_path, {**FULL, section: {**FULL[section], key: value}})
+        exit_code, out, err = run_cli(capsys, [command, "--config", path])
+        message = err.removeprefix("error: ")
+        seen = next((known for known in self.LABELS if message.startswith(known)), "")
+        assert (exit_code, out, seen, err.count("\n")) == (code, "", label, 1)
 
 
 class TestFuzz:

@@ -945,3 +945,7 @@ class TestRecording:
         times = [s.t for s in rows(regime2.stream(reference_robot, motor, cfg).samples)]
         assert times.count(touchdown) == 1
         assert all(b > a for a, b in zip(times, times[1:]))
+
+    def test_samples_strictly_increasing(self, reference_trajectory):
+        times = [s.t for s in reference_trajectory.samples]
+        assert all(b > a for a, b in zip(times, times[1:]))

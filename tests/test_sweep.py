@@ -159,6 +159,17 @@ class TestRunSweep:
         assert result.rows[1].objective > 0.0
         assert result.argmax == 300.0
 
+    def test_regime2_objective_passes_the_window_guards_by(self, brush):
+        # the window is shorter than five forcing periods at 10 rad/s, and
+        # its dt is above T/200 at 4000 rad/s; neither row reads invalid
+        robot = reference_robot()
+        motor = reference_motor()
+        sim = SimConfig(t_end=0.5, dt=1e-4, record_stride=1000)
+        spec = SweepSpec("omega", "v_r_regime2", (10.0, 300.0, 4000.0))
+        result = run_sweep(spec, brush, motor, robot, sim)
+        statuses = [row.status for row in result.rows]
+        assert statuses == [STATUS_NO_CYCLES, STATUS_OK, STATUS_OK]  # 10 rad/s cannot lift
+
     @pytest.mark.parametrize("sim", [
         SimConfig(0.5, 1e-4),
         SimConfig(1e-3, 1e-6, 0.3, 7),
