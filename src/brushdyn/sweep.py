@@ -5,6 +5,9 @@ everything else fixed. A point that raises an error in `FAILURES` (resonance
 guard, model domain, no completed cycles, invalid parameters, overflow,
 underflow) or gives a non-finite objective becomes a status-flagged row
 instead of aborting the whole sweep: sweeps cross those boundaries on purpose.
+The parameter must enter the objective: v_r_regime1 takes omega, alpha, l and
+EI; v_r_regime2 omega; forced_amplitude_abs all five; k_theta alpha, l and EI.
+Any other pair would give a constant column, and is a ValidationError.
 """
 
 from __future__ import annotations
@@ -62,12 +65,13 @@ PARAMETERS: dict[str, tuple[Callable[[float], bool], Callable]] = {
 }
 
 
-# Objective name -> f(brush, motor, robot).
-OBJECTIVES: dict[str, Callable[..., float]] = {
-    "v_r_regime1": lambda b, m, _: regime1.ground_speed(b, m),
-    "v_r_regime2": lambda b, m, r: regime2.steady_speed(r, m),
-    "forced_amplitude_abs": lambda b, m, _: abs(regime1.forced_amplitude(b, m)),
-    "k_theta": lambda b, m, _: regime1.lumped_stiffness(b),
+# Objective name -> (f(brush, motor, robot), the sweep parameters that enter f).
+OBJECTIVES: dict[str, tuple[Callable[..., float], tuple[str, ...]]] = {
+    "v_r_regime1": (lambda b, m, _: regime1.ground_speed(b, m), ("omega", "alpha", "l", "EI")),
+    "v_r_regime2": (lambda b, m, r: regime2.steady_speed(r, m), ("omega",)),
+    "forced_amplitude_abs": (lambda b, m, _: abs(regime1.forced_amplitude(b, m)),
+                             ("omega", "alpha", "l", "EI", "M_b")),
+    "k_theta": (lambda b, m, _: regime1.lumped_stiffness(b), ("alpha", "l", "EI")),
 }
 
 
@@ -97,6 +101,9 @@ class SweepSpec(NamedTuple):
                 )
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValidationError("sweep grid must be strictly increasing")
+        if self.parameter not in OBJECTIVES[self.objective][1]:  # a constant column
+            raise ValidationError(f"sweep parameter {self.parameter!r} does not enter "
+                                  f"objective {self.objective!r}")
 
     @classmethod
     def from_range(cls, parameter: str, objective: str, start: float, stop: float,
@@ -161,7 +168,7 @@ def run_sweep(
         raise ValidationError("objective v_r_regime2 needs robot parameters")
     _, apply = PARAMETERS[spec.parameter]
     # tuple.__new__ builds each SweepRow without its Python-level __new__
-    evaluate, new = OBJECTIVES[spec.objective], tuple.__new__
+    evaluate, new = OBJECTIVES[spec.objective][0], tuple.__new__
     rows = []
     for value in spec.grid:
         try:

@@ -26,35 +26,29 @@ def motor_with_amplitude(amplitude, speed):
     )
 
 
-@pytest.fixture
-def soft_brush():
-    # omega_n ~ 9534 rad/s; far above the motor speeds used below
-    return BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3)
-
-
 class TestClassification:
     def test_regimes_are_the_three_readme_names(self):
         # classify prints a Regime's value; README names these three
         assert [regime.value for regime in Regime] == ["RegimeI", "RegimeII", "Transitional"]
 
-    def test_double_weight_forcing_is_rigid_regime(self, soft_brush):
+    def test_double_weight_forcing_is_rigid_regime(self, brush):
         robot = robot_with_weight(1.0)
         motor = motor_with_amplitude(2.0, speed=300.0)
-        report = classify(soft_brush, motor, robot)
+        report = classify(brush, motor, robot)
         assert report.regime is Regime.REGIME_II
         assert report.lift_ratio == pytest.approx(2.0, rel=1e-12)
 
-    def test_motor_off_is_flexible_regime(self, soft_brush):
+    def test_motor_off_is_flexible_regime(self, brush):
         report = classify(
-            soft_brush, MotorParams(0.0, 0.0, 300.0), robot_with_weight(1.0)
+            brush, MotorParams(0.0, 0.0, 300.0), robot_with_weight(1.0)
         )
         assert report.regime is Regime.REGIME_I
         assert report.lift_ratio == 0.0
 
-    def test_fast_drive_is_transitional_with_factor_i(self, soft_brush):
-        omega_n = regime1.natural_frequency(soft_brush)
+    def test_fast_drive_is_transitional_with_factor_i(self, brush):
+        omega_n = regime1.natural_frequency(brush)
         motor = motor_with_amplitude(0.5, speed=5.0 * omega_n)
-        report = classify(soft_brush, motor, robot_with_weight(1.0))
+        report = classify(brush, motor, robot_with_weight(1.0))
         assert report.regime is Regime.TRANSITIONAL
         assert report.lift_ratio == pytest.approx(0.5, rel=1e-12)
         assert any(line.startswith("(i)") for line in report.rationale)
@@ -73,11 +67,11 @@ class TestClassification:
         assert report.regime is Regime.REGIME_II
         assert any(line.startswith("(iii)") for line in report.rationale)
 
-    def test_report_quantities(self, soft_brush):
+    def test_report_quantities(self, brush):
         motor = motor_with_amplitude(0.5, speed=300.0)
-        report = classify(soft_brush, motor, robot_with_weight(1.0))
+        report = classify(brush, motor, robot_with_weight(1.0))
         assert report.stiffness_score == pytest.approx(
-            300.0 / regime1.natural_frequency(soft_brush), rel=1e-12
+            300.0 / regime1.natural_frequency(brush), rel=1e-12
         )
         assert report.alpha_margin == pytest.approx(math.pi / 2 - 0.6, rel=1e-12)
         assert report.rationale
@@ -85,7 +79,7 @@ class TestClassification:
 
 
 class TestProperties:
-    def test_lift_criterion_scale_invariance(self, soft_brush):
+    def test_lift_criterion_scale_invariance(self, brush):
         # multiplying the eccentric mass and the body mass together leaves
         # the classification unchanged
         rng = np.random.default_rng(21)
@@ -102,12 +96,12 @@ class TestProperties:
                 base_motor.eccentricity,
                 base_motor.speed,
             )
-            a = classify(soft_brush, base_motor, base_robot)
-            b = classify(soft_brush, scaled_motor, scaled_robot)
+            a = classify(brush, base_motor, base_robot)
+            b = classify(brush, scaled_motor, scaled_robot)
             assert a.regime is b.regime
             assert a.lift_ratio == pytest.approx(b.lift_ratio, rel=1e-9)
 
-    def test_rigid_regime_exactly_when_regime1_is_invalid(self, soft_brush):
+    def test_rigid_regime_exactly_when_regime1_is_invalid(self, brush):
         # the lift boundary is regime1_validity's: seeded forces equal to the
         # weight or one ulp either side of it, and a force that is nan
         # (omega^2 overflows to inf, and inf * r = 0 gives nan)
@@ -130,5 +124,5 @@ class TestProperties:
         cases.append((nan_force, robot_with_weight(1.0)))
         for motor, robot in cases:
             lifts = not regime1.regime1_validity(motor, robot).valid
-            report = classify(soft_brush, motor, robot)
+            report = classify(brush, motor, robot)
             assert (report.regime is Regime.REGIME_II) == lifts, (motor, robot)

@@ -64,8 +64,10 @@ class TestEveryConstructionValidates:
              "gravity must be > 0"),
             (SimConfig(0.5, 1e-4), "record_stride", 0,
              "record_stride must be a positive integer"),
-            (SweepSpec("omega", "k_theta", (100.0, 200.0)), "grid", (200.0, 100.0),
+            (SweepSpec("alpha", "k_theta", (0.3, 0.6)), "grid", (0.6, 0.3),
              "sweep grid must be strictly increasing"),
+            (SweepSpec("alpha", "k_theta", (0.3, 0.6)), "parameter", "M_b",
+             "sweep parameter 'M_b' does not enter objective 'k_theta'"),
             (BrushParams(2e9, 1e-12, 0.02, 0.6, 1e-3), "young_modulus", math.inf,
              "young_modulus must be finite"),
             (MotorParams(1e-3, 2e-3, 300.0), "eccentricity", math.nan,

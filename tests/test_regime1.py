@@ -292,8 +292,9 @@ class TestGroundSpeed:
         b = unit_brush(alpha)
         amplitude = 3.0 * 0.1 / math.cos(alpha)
         motor = motor_with_amplitude(amplitude, speed=4 * math.pi)
-        expected = 2.0 * float(cos_exact(alpha - 0.1) - cos_exact(alpha))
-        assert regime1.ground_speed(b, motor) == pytest.approx(expected, rel=1e-10)
+        theta = regime1.stick_phase_angle(b, motor)
+        expected = 2.0 * float(cos_exact(Fraction(alpha) - Fraction(theta)) - cos_exact(alpha))
+        assert regime1.ground_speed(b, motor) == pytest.approx(expected, rel=1e-15)
 
 
 class TestForcedAmplitude:

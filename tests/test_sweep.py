@@ -14,6 +14,7 @@ from brushdyn.sweep import (
     STATUS_NO_CYCLES,
     STATUS_OK,
     STATUS_RESONANCE,
+    FAILURE_TYPES,
     FAILURES,
     OBJECTIVES,
     PARAMETERS,
@@ -22,12 +23,7 @@ from brushdyn.sweep import (
     run_sweep,
 )
 
-from helpers import reference_motor, reference_robot, rows
-
-
-@pytest.fixture
-def motor():
-    return MotorParams(1e-3, 2e-3, 300.0)
+from helpers import random_brush, random_motor, reference_robot, rows
 
 
 class TestSweepSpec:
@@ -56,15 +52,15 @@ class TestSweepSpec:
                     SweepSpec(parameter, "k_theta", (0.5, bad))
 
     def test_single_point_grid_allowed(self):
-        spec = SweepSpec("omega", "k_theta", (100.0,))
+        spec = SweepSpec("omega", "v_r_regime1", (100.0,))
         assert spec.grid == (100.0,)
 
     def test_from_range_linear(self):
-        spec = SweepSpec.from_range("omega", "k_theta", 100.0, 200.0, 5)
+        spec = SweepSpec.from_range("omega", "v_r_regime1", 100.0, 200.0, 5)
         assert spec.grid == (100.0, 125.0, 150.0, 175.0, 200.0)
 
     def test_from_range_log(self):
-        spec = SweepSpec.from_range("omega", "k_theta", 1.0, 100.0, 3, spacing="log")
+        spec = SweepSpec.from_range("omega", "v_r_regime1", 1.0, 100.0, 3, spacing="log")
         assert spec.grid[0] == 1.0
         assert spec.grid[1] == pytest.approx(10.0, rel=1e-12)
         assert spec.grid[2] == 100.0
@@ -92,44 +88,89 @@ class TestSweepSpec:
             SweepSpec.from_range(parameter, "k_theta", start, stop, 5)
 
 
+# Sweep parameter -> its value on a (brush, motor) pair
+VALUES = {
+    "omega": lambda b, m: m.speed,
+    "alpha": lambda b, m: b.inclination,
+    "l": lambda b, m: b.length,
+    "EI": lambda b, m: b.flexural_rigidity,
+    "M_b": lambda b, m: b.brush_mass,
+}
+
+
+class TestConstantPairs:
+    """A sweep is refused when its parameter cannot move its objective. This
+    is worked out by evaluation, not read from OBJECTIVES: on seeded records,
+    each objective at the record's parameter value and 0.1 % above it. Seven
+    pairs read bit-equal values: (omega | M_b, k_theta), (M_b, v_r_regime1)
+    and (alpha | l | EI | M_b, v_r_regime2)."""
+
+    @pytest.mark.parametrize("objective", list(OBJECTIVES))
+    @pytest.mark.parametrize("parameter", list(PARAMETERS))
+    def test_a_pair_is_refused_exactly_when_its_objective_cannot_move(self, parameter,
+                                                                       objective):
+        rng = np.random.default_rng(1330)
+        (evaluate, _), (_, apply) = OBJECTIVES[objective], PARAMETERS[parameter]
+        robot, pairs = reference_robot(), []
+        for _ in range(20):
+            brush, motor = random_brush(rng), random_motor(rng)
+            value = VALUES[parameter](brush, motor)
+            grid, pair = (value, value * 1.001), []
+            for point in grid:
+                try:
+                    pair.append(evaluate(*apply(point, brush, motor), robot))
+                except FAILURE_TYPES:
+                    pair.append(None)
+            pairs.append(pair)
+        assert any(None not in pair for pair in pairs)  # some record has a value to move
+        if any(a != b for a, b in pairs):
+            SweepSpec(parameter, objective, grid)
+        else:
+            message = f"sweep parameter '{parameter}' does not enter objective '{objective}'"
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                SweepSpec(parameter, objective, grid)
+
+
 class TestOmegaRecord:
     """An omega point's motor is built unchecked (tuple.__new__), so the
     grid domain must refuse every speed that MotorParams refuses."""
 
-    def test_record_equals_the_validated_motor(self, brush, motor):
+    def test_record_equals_the_validated_motor(self, brush, reference_motor):
         _, apply = PARAMETERS["omega"]
         for value in (5e-324, 1e-300, 0.5, 1, 300.0, 1e300, 1.7976931348623157e308):
             SweepSpec("omega", "v_r_regime2", (value,))  # on the grid
-            got_brush, got = apply(value, brush, motor)
+            got_brush, got = apply(value, brush, reference_motor)
             assert got_brush is brush and type(got) is MotorParams
-            assert got == MotorParams(motor.eccentric_mass, motor.eccentricity, value)
+            expected = MotorParams(reference_motor.eccentric_mass, reference_motor.eccentricity, value)
+            assert got == expected
             assert got.speed is value
 
     @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
-    def test_speeds_motor_params_refuses_are_off_the_grid(self, motor, value):
+    def test_speeds_motor_params_refuses_are_off_the_grid(self, reference_motor, value):
         with pytest.raises(ValidationError, match="out of domain"):
             SweepSpec("omega", "v_r_regime2", (value,))
         with pytest.raises(ValidationError):
-            motor._replace(speed=value)
+            reference_motor._replace(speed=value)
 
 
 class TestRunSweep:
-    def test_single_point_argmax(self, brush, motor):
+    def test_single_point_argmax(self, brush, reference_motor):
         spec = SweepSpec("omega", "forced_amplitude_abs", (100.0,))
-        result = run_sweep(spec, brush, motor)
+        result = run_sweep(spec, brush, reference_motor)
         assert result.argmax == 100.0
 
-    def test_argmax_is_the_first_of_equal_best_rows(self, brush, motor):
-        # k_theta does not depend on the brush mass: three equal objectives
-        spec = SweepSpec("M_b", "k_theta", (1e-3, 2e-3, 3e-3))
-        result = run_sweep(spec, brush, motor)
+    def test_argmax_is_the_first_of_equal_best_rows(self, brush, reference_motor, monkeypatch):
+        # an objective that the brush mass enters, but that reads 1.0 at every point
+        monkeypatch.setitem(OBJECTIVES, "flat", (lambda b, m, _: 1.0, ("M_b",)))
+        spec = SweepSpec("M_b", "flat", (1e-3, 2e-3, 3e-3))
+        result = run_sweep(spec, brush, reference_motor)
         assert len({row.objective for row in result.rows}) == 1
         assert all(row.status == STATUS_OK for row in result.rows)
         assert result.argmax == 1e-3
 
-    def test_alpha_stiffness_strictly_increasing(self, brush, motor):
+    def test_alpha_stiffness_strictly_increasing(self, brush, reference_motor):
         spec = SweepSpec.from_range("alpha", "k_theta", 0.1, 1.4, 10)
-        result = run_sweep(spec, brush, motor)
+        result = run_sweep(spec, brush, reference_motor)
         values = [row.objective for row in result.rows]
         assert all(b > a for a, b in zip(values, values[1:]))
         for row in result.rows:
@@ -139,34 +180,32 @@ class TestRunSweep:
             assert row.objective == direct
         assert result.argmax == result.rows[-1].value
 
-    def test_resonant_point_is_flagged_not_fatal(self, brush, motor):
+    def test_resonant_point_is_flagged_not_fatal(self, brush, reference_motor):
         omega_n = regime1.natural_frequency(brush)
         spec = SweepSpec(
             "omega", "forced_amplitude_abs", (0.5 * omega_n, omega_n, 2.0 * omega_n)
         )
-        result = run_sweep(spec, brush, motor)
+        result = run_sweep(spec, brush, reference_motor)
         statuses = [row.status for row in result.rows]
         assert statuses == [STATUS_OK, STATUS_RESONANCE, STATUS_OK]
         assert result.rows[1].objective is None
         assert result.argmax in (result.rows[0].value, result.rows[2].value)
 
-    def test_regime2_objective_flags_quiet_points(self, brush):
+    def test_regime2_objective_flags_quiet_points(self, brush, reference_motor):
         # at 100 rad/s the forcing moment never beats gravity: no cycles
         spec = SweepSpec("omega", "v_r_regime2", (100.0, 300.0))
-        result = run_sweep(spec, brush, reference_motor(), reference_robot())
+        result = run_sweep(spec, brush, reference_motor, reference_robot())
         assert result.rows[0].status == STATUS_NO_CYCLES
         assert result.rows[1].status == STATUS_OK
         assert result.rows[1].objective > 0.0
         assert result.argmax == 300.0
 
-    def test_regime2_objective_passes_the_window_guards_by(self, brush):
+    def test_regime2_objective_passes_the_window_guards_by(self, brush, reference_motor):
         # the window is shorter than five forcing periods at 10 rad/s, and
         # its dt is above T/200 at 4000 rad/s; neither row reads invalid
-        robot = reference_robot()
-        motor = reference_motor()
         sim = SimConfig(t_end=0.5, dt=1e-4, record_stride=1000)
         spec = SweepSpec("omega", "v_r_regime2", (10.0, 300.0, 4000.0))
-        result = run_sweep(spec, brush, motor, robot, sim)
+        result = run_sweep(spec, brush, reference_motor, reference_robot(), sim)
         statuses = [row.status for row in result.rows]
         assert statuses == [STATUS_NO_CYCLES, STATUS_OK, STATUS_OK]  # 10 rad/s cannot lift
 
@@ -176,22 +215,22 @@ class TestRunSweep:
         SimConfig(1e300, 1e-4),
         SimConfig(1e-300, 1e-300),
     ], ids=["reference", "tilted-short", "huge", "tiny"])
-    def test_regime2_rows_are_the_same_under_any_window_and_none(self, brush, sim):
+    def test_regime2_rows_are_the_same_under_any_window_and_none(self, brush, sim, reference_motor):
         # rows below lift-off, hops of 1 to ~340 periods, and tip-overs up to 5e4 rad/s
         spec = SweepSpec.from_range("omega", "v_r_regime2", 100.0, 5e4, 30, "log")
-        robot, motor = reference_robot(), reference_motor()
+        robot, motor = reference_robot(), reference_motor
         result = run_sweep(spec, brush, motor, robot, sim)
         assert result == run_sweep(spec, brush, motor, robot)
         statuses = {row.status for row in result.rows}
         assert statuses == {STATUS_NO_CYCLES, STATUS_OK, STATUS_MODEL_DOMAIN}
 
-    def test_regime2_objective_is_the_steady_hop_of_stream(self, brush):
+    def test_regime2_objective_is_the_steady_hop_of_stream(self, brush, reference_motor):
         # v_r_regime2 is the speed stream implies: h*sin(peak) per hop from
         # rest, over the time between the last two lift-offs from rest in its
         # events, on robots that hop once every n = 1 to 50 forcing periods
         rng = np.random.default_rng(31)
-        objective = OBJECTIVES["v_r_regime2"]
-        robot, motor = reference_robot(), reference_motor()
+        objective, _ = OBJECTIVES["v_r_regime2"]
+        robot, motor = reference_robot(), reference_motor
         # the reference window, and the same with its last flight airborne
         cases = [(robot, motor, SimConfig(0.5, 1e-4)), (robot, motor, SimConfig(0.47, 1e-4))]
         for index in range(60):
@@ -221,12 +260,12 @@ class TestRunSweep:
             hops.add(round(gap / drawn_motor.period))
         assert min(hops) == 1 and max(hops) >= 50
 
-    def test_regime2_objective_needs_no_hop_from_rest_in_the_window(self, brush):
+    def test_regime2_objective_needs_no_hop_from_rest_in_the_window(self, brush, reference_motor):
         # TestWindow's tilted flight lands alone; over 5.5 periods the flight
         # from rest after it is airborne at the window end. Neither window
         # holds a hop from rest, and the sweep row is the steady hop
-        objective = OBJECTIVES["v_r_regime2"]
-        robot, motor = reference_robot(), reference_motor()
+        objective, _ = OBJECTIVES["v_r_regime2"]
+        robot, motor = reference_robot(), reference_motor
         period = motor.period
         steady = objective(brush, motor, robot)
         for periods in (5.0, 5.5):
@@ -259,15 +298,18 @@ class TestRunSweep:
         result = run_sweep(SweepSpec("omega", "v_r_regime2", (1e5,)), brush, motor, robot)
         assert result.rows == ((1e5, None, STATUS_NO_CYCLES),)
 
-    def test_regime2_objective_needs_robot(self, brush, motor):
+    def test_regime2_objective_needs_robot(self, brush, reference_motor):
         spec = SweepSpec("omega", "v_r_regime2", (100.0, 300.0))
         with pytest.raises(ValidationError, match="v_r_regime2"):
-            run_sweep(spec, brush, motor)
+            run_sweep(spec, brush, reference_motor)
 
-    def test_ei_and_mass_and_length_parameters(self, brush, motor):
-        for parameter, attribute in (("l", "length"), ("M_b", "brush_mass")):
-            spec = SweepSpec(parameter, "k_theta", (0.01, 0.02))
-            result = run_sweep(spec, brush, motor)
+    def test_ei_and_mass_and_length_parameters(self, brush, reference_motor):
+        direct = {"k_theta": regime1.lumped_stiffness,
+                  "forced_amplitude_abs": lambda b: abs(regime1.forced_amplitude(b, reference_motor))}
+        for parameter, attribute, objective in (("l", "length", "k_theta"),
+                                                ("M_b", "brush_mass", "forced_amplitude_abs")):
+            spec = SweepSpec(parameter, objective, (0.01, 0.02))
+            result = run_sweep(spec, brush, reference_motor)
             for row in result.rows:
                 modified = {
                     "young_modulus": 2e9,
@@ -277,16 +319,14 @@ class TestRunSweep:
                     "brush_mass": 1e-3,
                     attribute: row.value,
                 }
-                assert row.objective == regime1.lumped_stiffness(
-                    BrushParams(**modified)
-                )
+                assert row.objective == direct[objective](BrushParams(**modified))
         spec = SweepSpec("EI", "k_theta", (1e-3, 4e-3))
-        result = run_sweep(spec, brush, motor)
+        result = run_sweep(spec, brush, reference_motor)
         for row in result.rows:
             expected = 3.0 * row.value / (0.02**2 * math.cos(0.6))
             assert row.objective == pytest.approx(expected, rel=1e-12)
 
-    def test_sweep_argmax_densifies_toward_guard_boundary(self, brush, motor):
+    def test_sweep_argmax_densifies_toward_guard_boundary(self, brush, reference_motor):
         omega_n = regime1.natural_frequency(brush)
         edge = omega_n * (1.0 - 2e-3)
         coarse = run_sweep(
@@ -294,37 +334,36 @@ class TestRunSweep:
                 "omega", "forced_amplitude_abs", 0.1 * omega_n, edge, 10
             ),
             brush,
-            motor,
+            reference_motor,
         )
         dense = run_sweep(
             SweepSpec.from_range(
                 "omega", "forced_amplitude_abs", 0.1 * omega_n, edge, 100
             ),
             brush,
-            motor,
+            reference_motor,
         )
         assert abs(dense.argmax - edge) <= abs(coarse.argmax - edge)
         assert dense.argmax == pytest.approx(edge, rel=1e-12)
 
-    def test_overswinging_points_are_model_domain_rows(self, brush):
+    def test_overswinging_points_are_model_domain_rows(self, brush, reference_motor):
         # the stick-phase angle passes the 0.6 rad inclination at ~2335 rad/s
-        motor = MotorParams(1e-3, 2e-3, 300.0)
         spec = SweepSpec("omega", "v_r_regime1", (1500.0, 3500.0))
-        result = run_sweep(spec, brush, motor)
+        result = run_sweep(spec, brush, reference_motor)
         assert [row.status for row in result.rows] == [STATUS_OK, STATUS_MODEL_DOMAIN]
         assert result.argmax == 1500.0
 
-    def test_overflowed_stick_phase_angle_is_an_invalid_row(self, brush, motor):
+    def test_overflowed_stick_phase_angle_is_an_invalid_row(self, brush, reference_motor):
         spec = SweepSpec("omega", "v_r_regime1", (300.0, 1e300))
-        result = run_sweep(spec, brush, motor)
+        result = run_sweep(spec, brush, reference_motor)
         assert [row.status for row in result.rows] == [STATUS_OK, STATUS_INVALID]
         assert result.argmax == 300.0
 
-    def test_points_leaving_the_float_range_are_invalid_rows(self, brush, motor):
+    def test_points_leaving_the_float_range_are_invalid_rows(self, brush, reference_motor):
         # l = 1e-200: l**2 underflows to a zero divisor; l = 1e-160: k_theta
         # is inf; l = 1e-100: k_theta is large but finite
         spec = SweepSpec("l", "k_theta", (1e-200, 1e-160, 1e-100, 0.02))
-        result = run_sweep(spec, brush, motor)
+        result = run_sweep(spec, brush, reference_motor)
         statuses = [row.status for row in result.rows]
         assert statuses == [STATUS_INVALID, STATUS_INVALID, STATUS_OK, STATUS_OK]
         assert [row.objective for row in result.rows[:2]] == [None, None]
