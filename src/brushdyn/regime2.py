@@ -8,7 +8,8 @@ next rises through zero. The rising-edge trigger (rather than releasing the
 instant the moment is positive) keeps impact chains from re-launching at a
 drifting phase, so the stick-slip pattern locks to the forcing. Each completed
 lift-off/touchdown cycle advances the robot by h*sin(peak angle of that cycle),
-so the steady speed is h*sin(peak)/(n*T): one hop from rest per n periods.
+so the steady speed is h*sin(peak)/(n*T) with one hop from rest per n periods:
+theta falls to zero in forcing half-period 2n - 1 or 2n after the lift-off.
 
 The solver is exact and event-driven: theta_ddot = c_f*sin(omega*t) - c_g
 depends on time only, so flights have a closed form, and every lift-off from
@@ -145,10 +146,6 @@ class _Flight:
     def lift_off(self, k: int) -> float:
         return (TWO_PI * k + self.psi0) / self.omega
 
-    def hop(self, duration: float) -> int:
-        """Periods from a lift-off from rest to the next, after this long a flight."""
-        return max(1, math.ceil(duration * self.omega / TWO_PI))
-
     def root(self, lo: float, hi: float, angle: float, above: bool, peak: bool) -> tuple:
         """(r, theta(r)), r the end on hi's side of the adjacent floats around
         the root of f = theta_dot (peak) or theta in (lo, hi), above = f(lo) > 0
@@ -200,17 +197,18 @@ class _Flight:
                 reach *= 2.0
             last = value
 
-    def land(self, lift_off: float, limit: float) -> tuple[float, float | None]:
-        """Touchdown time and the peak angle before it, the larger of theta0
-        and theta at the maxima of theta, each time found by root as the only
-        root in its bracket: theta_ddot changes sign only at the phases rise
-        and pi - rise, theta is monotone between zeros of theta_dot. Values at
-        bracket ends carry over. (math.inf, None) if airborne at ``limit``;
-        the peak is None also for a flight too short to be a cycle, else in
-        [0, pi/2): ModelDomainError names the bisected time theta reaches pi/2.
-        """
+    def land(self, lift_off: float, limit: float) -> tuple[int, float | None, tuple | None]:
+        """(n, peak, bracket): theta falls to zero in bracket = (p, q, theta(q),
+        theta(p) > 0), root's arguments for the touchdown, in the half-period up
+        to turn j, at phase (rise, pi - rise)[j % 2] + 2*pi*(j // 2); the moment
+        next rises through zero at phase rise + 2*pi*n, n = (j + 1) // 2. root
+        finds the peak, the larger of theta0 and theta at its maxima: theta_ddot
+        changes sign only at the turns, theta is monotone between zeros of
+        theta_dot; values at bracket ends carry over. No bracket if airborne at
+        ``limit``; the peak is None then and for a flight too short for a cycle,
+        else in [0, pi/2): ModelDomainError names the bisected time of pi/2."""
         c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
-        lifts, rise = self.lifts, self.rise
+        lifts, rise, brief = self.lifts, self.rise, _MIN_FLIGHT_FRACTION * (TWO_PI / omega)
         peak = angle = theta0  # theta(0) is theta0 and theta_dot(0) 0.0 exactly
         p, v_p, index = 0.0, 0.0, 0 if psi0 < rise else 1  # the first turn after psi0
         while p < limit:
@@ -229,9 +227,9 @@ class _Flight:
             for q, rising, end_angle in pieces:  # theta is monotone on [p, q]
                 start, angle = angle, end_angle
                 if not rising and angle <= 0.0:
-                    duration = self.root(p, q, angle, start > 0.0, False)[0]
-                    short = duration < _MIN_FLIGHT_FRACTION * (TWO_PI / omega)
-                    return duration, None if short else peak
+                    bracket = (p, q, angle, start > 0.0)  # root's r > p: short needs p < brief
+                    short = p < brief and self.root(*bracket, False)[0] < brief
+                    return index // 2, None if short else peak, bracket
                 if rising and angle >= MAX_BODY_ANGLE:  # theta rises through pi/2 on (p, q]
                     while p < (s := 0.5 * (p + q)) < q:
                         sine = math.sin(psi0 + omega * s)
@@ -242,7 +240,7 @@ class _Flight:
                     peak = angle
                 p = q
             v_p = v_q
-        return math.inf, None
+        return index // 2, None, None
 
 
 def _steps(cfg: SimConfig) -> int:
@@ -273,23 +271,24 @@ def _flights(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Iterator
     if steps > MAX_GRID_STEPS:
         raise ValidationError(f"t_end / dt exceeds {MAX_GRID_STEPS:.6g} grid steps")
 
-    end, at_rest = steps * cfg.dt, 0.0
+    end, at_rest, k = steps * cfg.dt, 0.0, 0
     if cfg.theta0 > 0.0:
         flight = _flight(robot, motor, cfg.theta0)
-        at_rest, peak = flight.land(0.0, end)  # a touchdown is at most end
+        k, peak, bracket = flight.land(0.0, end)  # a touchdown is at most end
+        at_rest = math.inf if bracket is None else flight.root(*bracket, False)[0]
         yield flight, 0.0, at_rest, peak
     flight = _flight(robot, motor, 0.0)
     if not (flight.lifts and at_rest < end):
         return  # no lift-off from rest inside the window
 
-    # Lift-offs from rest sit on the rising zeros (2*pi*k + rise)/omega of the
-    # net moment, the first at or after at_rest >= 0; rise < pi/2 gives k >= 0.
-    k = math.ceil((motor.speed * at_rest - flight.rise) / TWO_PI)
+    # Lift-offs from rest sit on the rising zeros (2*pi*k + rise)/omega of the net moment,
+    # the first at or after at_rest: k = 0, or the tilted flight's n, at or after its bracket.
     t = flight.lift_off(k)
-    duration, peak = flight.land(t, end - t)  # (math.inf, None) if t >= end
+    n, peak, bracket = flight.land(t, end - t)  # no bracket if t >= end
+    duration = math.inf if bracket is None else flight.root(*bracket, False)[0]
     while t < end and t + duration <= end:
         yield flight, t, duration, peak
-        k += flight.hop(duration)
+        k += n + (flight.lift_off(k + n) < t + duration)  # t + duration may round past it
         t = flight.lift_off(k)
     if t < end:
         yield flight, t, math.inf, None
@@ -382,13 +381,13 @@ def step_displacement(robot: RobotParams, theta_hat: float) -> float:
 
 def steady_speed(robot: RobotParams, motor: MotorParams) -> float:
     """h*sin(peak)/(n*T), the steady speed ``stream`` implies: one step of the flight
-    from rest per hop of n periods (_Flight.hop). It lands that one flight, which no
-    window enters, within _HORIZON forcing periods. Raises ModelDomainError if the
-    body tips over, and NoCompletedCycleError if it never lifts from rest (c_g >= c_f)
-    or that flight is not a cycle by the horizon."""
+    from rest per hop of n periods, n from the forcing half-period in which theta falls
+    to zero (_Flight.land). It lands that one flight, which no window enters, within
+    _HORIZON forcing periods. Raises ModelDomainError if the body tips over, and
+    NoCompletedCycleError if it never lifts (c_g >= c_f) or is no cycle by the horizon."""
     flight = _flight(robot, motor, 0.0)
     horizon = _HORIZON * motor.period
-    duration, peak = flight.land(flight.lift_off(0), horizon) if flight.lifts else (0.0, None)
+    n, peak, _ = flight.land(flight.lift_off(0), horizon) if flight.lifts else (0, None, None)
     if peak is None:
         raise NoCompletedCycleError(f"no flight from rest lands within {_HORIZON:g} periods")
-    return step_displacement(robot, peak) / (flight.hop(duration) * motor.period)
+    return step_displacement(robot, peak) / (n * motor.period)

@@ -350,6 +350,14 @@ def from_rest_phases(rho: float):
 # ---------------------------------------------------------------------------
 # closed-form count oracle for the flights in a regime-2 window
 
+def landing(flight, lift_off: float, limit: float) -> tuple:
+    """(duration, peak) of a regime2._Flight as regime2._flights finds them:
+    land's peak, and root's touchdown in land's bracket (math.inf without
+    one)."""
+    _, peak, bracket = flight.land(lift_off, limit)
+    return (math.inf if bracket is None else flight.root(*bracket, False)[0]), peak
+
+
 def count_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
     """(lift_off, touchdown, peak) of every flight in the window of
     ``regime2.stream``: touchdown is math.inf for a flight airborne at the
@@ -369,8 +377,8 @@ def count_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
     c_grav = robot.weight * robot.gravity_arm / robot.pivot_inertia
     end = math.floor(cfg.t_end / cfg.dt + 1e-9) * cfg.dt
 
-    def flight(lift_off, landing):
-        duration, peak = landing
+    def flight(lift_off, events):
+        duration, peak = events
         if lift_off + duration > end:
             return lift_off, math.inf, None
         if duration < regime2._MIN_FLIGHT_FRACTION * period:
@@ -380,7 +388,7 @@ def count_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
     flights, at_rest = [], 0.0
     if cfg.theta0 > 0.0:
         tilted = regime2._Flight(c_force, c_grav, omega, cfg.theta0)
-        flights.append(flight(0.0, tilted.land(0.0, end)))
+        flights.append(flight(0.0, landing(tilted, 0.0, end)))
         at_rest = flights[0][1]
     if not (c_grav < c_force and at_rest < end):
         return flights
@@ -392,17 +400,17 @@ def count_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
     first = max(0, math.ceil((omega * at_rest - rise) / (2.0 * math.pi)))
     if not lift_off(first) < end:
         return flights
-    landing = regime2._Flight(c_force, c_grav, omega, 0.0).land(
-        lift_off(first), end - lift_off(first))
-    duration = landing[0]
+    rest = landing(regime2._Flight(c_force, c_grav, omega, 0.0),
+                   lift_off(first), end - lift_off(first))
+    duration = rest[0]
     if duration == math.inf:
-        return flights + [flight(lift_off(first), landing)]
+        return flights + [flight(lift_off(first), rest)]
     hop = max(1, math.ceil(duration * omega / (2.0 * math.pi)))
     last = math.floor(((end - duration) * omega - rise) / (2.0 * math.pi))
     landed = max(0, (last - first) // hop)
     while (t := lift_off(first + landed * hop)) < end and t + duration <= end:
         landed += 1
-    flights += [flight(lift_off(first + i * hop), landing) for i in range(landed)]
+    flights += [flight(lift_off(first + i * hop), rest) for i in range(landed)]
     if t < end:  # the one after them lifts off, but lands too late
         flights.append((t, math.inf, None))
     return flights

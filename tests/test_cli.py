@@ -137,26 +137,27 @@ FAILING_RUNS = {
                     2, "missing key 'eccentricity' in [motor]"),
     "bad-number": ("predict-r1", changed("motor", speed="fast"), 2,
                    "value 'fast' for 'speed' in [motor] is not a number"),
-    "grid-and-range": ("sweep", omega_sweep("k_theta", grid="1,2,3", start="1", stop="3",
+    "grid-and-range": ("sweep", omega_sweep("v_r_regime1", grid="1,2,3", start="1", stop="3",
                                             points="3"), 2,
                        "[sweep] takes either grid= or start/stop/points, not both"),
     "default-section": ("sweep", {"DEFAULT": {"speed": "300.0"}, **FULL}, 2,
                         "[DEFAULT] section is not supported"),
     "bare-default-section": ("sweep", {"DEFAULT": {}, **FULL}, 2,
                              "[DEFAULT] section is not supported"),
-    "range-without-points": ("sweep", omega_sweep("k_theta", start="100", stop="300"), 2,
+    "range-without-points": ("sweep", omega_sweep("v_r_regime1", start="100", stop="300"), 2,
                              "[sweep] needs grid= or all of start=, stop=, points="),
-    "empty-grid": ("sweep", omega_sweep("k_theta", grid=""), 2,
+    "empty-grid": ("sweep", omega_sweep("v_r_regime1", grid=""), 2,
                    "sweep grid must contain at least one value"),
     # the brush mass does not enter k_theta: every row would read the same
     "constant-sweep": ("sweep", changed("sweep", parameter="M_b", objective="k_theta",
                                         grid="1e-3, 2e-3"), 2,
                        "sweep parameter 'M_b' does not enter objective 'k_theta'"),
     # every grid item is a number: a blank one is a typo, not a skipped point
-    **{case: ("sweep", omega_sweep("k_theta", grid=grid), 2,
+    **{case: ("sweep", omega_sweep("v_r_regime1", grid=grid), 2,
               "value '' for 'grid' in [sweep] is not a number")
        for case, grid in [("blank-grid-item", "100,,300"), ("trailing-grid-comma", "100,")]},
-    "fractional-points": ("sweep", omega_sweep("k_theta", start="100", stop="300", points="2.5"),
+    "fractional-points": ("sweep", omega_sweep("v_r_regime1", start="100", stop="300",
+                                               points="2.5"),
                           2, "value '2.5' for 'points' in [sweep] is not an integer"),
     "missing-robot-section": ("predict-r1", {"brush": BRUSH_SECTION, "motor": MOTOR_SECTION},
                               2, "missing [robot] section in config"),
@@ -535,7 +536,7 @@ class TestSweepCommand:
     def test_points_above_the_cap_exit_2_before_the_grid_is_built(self, tmp_path):
         # Under a 400 MB address-space limit a 1e9-point grid fails with
         # MemoryError; the cap refuses the range before building anything.
-        sweep = dict(parameter="omega", objective="k_theta", start="100", stop="200",
+        sweep = dict(parameter="omega", objective="v_r_regime1", start="100", stop="200",
                      points="1000000000")
         path = write_config(tmp_path, {**FULL, "sweep": sweep})
         out_path = tmp_path / "sweep.csv"

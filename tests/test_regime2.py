@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from brushdyn import MotorParams, RobotParams, SimConfig, regime2
-from brushdyn.params import ValidationError
+from brushdyn.params import TWO_PI, ValidationError
 from brushdyn.regime2 import ModelDomainError, NoCompletedCycleError
 
 from helpers import (
@@ -17,6 +17,7 @@ from helpers import (
     count_flights,
     flight_events,
     from_rest_phases,
+    landing,
     net_moment,
     reference_motor,
     reference_robot,
@@ -408,10 +409,10 @@ def recorded(c_force, c_grav, omega, theta0):
     return regime2._Flight(c_force, c_grav, times, theta0), times.log, plain
 
 
-def land_roots(flight, log, limit):
-    """flight.land(0, limit) and, for each root it asks of the kernel, the
-    arguments (lo, hi, angle, above, peak), the times evaluated and the
-    result."""
+def logged_roots(flight, log):
+    """The list to which flight now adds, for each root it asks of the
+    kernel, the arguments (lo, hi, angle, above, peak), the times evaluated
+    and the result."""
     calls = []
 
     def root(*args):
@@ -421,15 +422,25 @@ def land_roots(flight, log, limit):
         return result
 
     flight.root = root
-    try:
-        return flight.land(0.0, limit), calls
-    finally:
-        del flight.root
+    return calls
+
+
+def land_roots(flight, log, limit):
+    """landing(flight, 0, limit) and the roots that land and then the
+    touchdown ask of the kernel (logged_roots)."""
+    calls = logged_roots(flight, log)
+    return landing(flight, 0.0, limit), calls
 
 
 def coefficients(robot, motor):
     c_force = motor.force_amplitude * robot.forcing_arm / robot.pivot_inertia
     return c_force, robot.weight * robot.gravity_arm / robot.pivot_inertia
+
+
+def at_rho(robot, motor, rho):
+    """robot with the gravity arm that puts c_g/c_f at rho."""
+    c_force, _ = coefficients(robot, motor)
+    return robot._replace(gravity_arm=rho * c_force * robot.pivot_inertia / robot.weight)
 
 
 class TestRootFinder:
@@ -545,23 +556,27 @@ class TestRootCost:
         # c_g = 73.6 from theta0 = 0.01. theta_dot is noise over most of the
         # peak bracket, and the touchdown bracket runs from ~2e-306 to ~3.5e-11 s,
         # where bisection takes ~1,000 evaluations. A gallop whose reach
-        # restarts after each accepted Newton step takes 329 on the peak.
+        # restarts after each accepted Newton step takes 329 on the peak. The
+        # touchdown bracket starts before _MIN_FLIGHT_FRACTION*T, so land finds
+        # the touchdown for the short-flight rule, and then _flights for its time.
         flight, log, plain = recorded(1.35e305, 73.575, 300.0, 0.01)
         (duration, _), calls = land_roots(flight, log, 0.5)
-        assert duration < math.inf and [args[-1] for args, *_ in calls] == [True, False]
+        assert duration < math.inf
+        assert [args[-1] for args, *_ in calls] == [True, False, False]
         for (lo, hi, _, _, peak), evaluated, _ in calls:
             assert len(evaluated) <= 2 * self.bisections(plain, lo, hi, peak), peak
 
     # Motor off from a subnormal theta0: theta = theta0 - c_g*s^2/2 rounds to
     # the same few subnormals over ~1e15 floats around its root, where every
     # Newton step is 0, so trying one neighbour float per evaluation there
-    # never ends; bisection takes ~580.
+    # never ends; bisection takes ~580. The bracket starts at 0, so land and
+    # then _flights each find the touchdown.
     @pytest.mark.parametrize("theta0", [5e-324, 1e-320, 1e-315])
     def test_flat_stretch_costs_at_most_twice_bisection(self, theta0):
         flight, _, plain = recorded(0.0, 73.575, 300.0, theta0)
         log = flight.omega.log = Ceiling(10_000)
         (duration, _), calls = land_roots(flight, log, 0.5)
-        assert duration < math.inf and [args[-1] for args, *_ in calls] == [False]
+        assert duration < math.inf and [args[-1] for args, *_ in calls] == [False, False]
         for (lo, hi, _, _, peak), evaluated, _ in calls:
             assert len(evaluated) <= 2 * self.bisections(plain, lo, hi, peak)
 
@@ -594,17 +609,17 @@ class TestStarts:
 
 
 class TestLandEvaluations:
-    """_Flight.land evaluates the closed form at most once per time: values
-    at bracket ends carry over, root is told the side of its lower end and
-    hands back theta at its root."""
+    """_Flight.land and the touchdown in its bracket evaluate the closed form
+    at most once per time: values at bracket ends carry over, root is told
+    the side of its lower end and hands back theta at its root."""
 
     @staticmethod
     def assert_no_repeats(c_force, c_grav, omega, theta0, limit):
         flight, log, plain = recorded(c_force, c_grav, omega, theta0)
-        landing = flight.land(0.0, limit)
-        assert landing == plain.land(0.0, limit)
+        events = landing(flight, 0.0, limit)
+        assert events == landing(plain, 0.0, limit)
         assert log and len(set(log)) == len(log), [s for s in set(log) if log.count(s) > 1]
-        return landing
+        return events
 
     def test_reference_flight(self, reference_robot, reference_motor):
         c_force, c_grav = coefficients(reference_robot, reference_motor)
@@ -679,7 +694,7 @@ class TestEventLocation:
                 )
                 if start not in oracle:
                     flight = regime2._Flight(c_force, c_grav, omega, start[1])
-                    duration, _ = flight.land(0.0, cfg.t_end)
+                    duration, _ = landing(flight, 0.0, cfg.t_end)
                     assert state(flight, duration)[0] <= 0.0
                     oracle[start] = flight_events(c_force, c_grav, omega, *start, cfg.t_end)
                 touchdown, oracle_peak = oracle[start]
@@ -777,6 +792,70 @@ class TestCycleCount:
                 at_event += abs(steps * dt - t) <= 4.0 * math.ulp(t)
                 airborne += flights[-1][1] == math.inf
         assert at_event > 300 and airborne > 80
+
+
+class TestHopBoundary:
+    """The hop count n of the flight from rest (_Flight.land) where it steps
+    to n + 1: as rho = c_g/c_f falls, the touchdown passes the rising zero of
+    the net moment n periods after the lift-off. There theta(2*pi*n/omega) = 0;
+    each such rho is found by bisection (helpers.bisect) on the closed form in
+    sum-to-product arrangement, not by the library's Newton or its walk."""
+
+    @staticmethod
+    def boundaries(c_force, omega):
+        """(n, rho) for each step n -> n + 1 with rho in [0.02, 0.99]."""
+        def theta(rho, n):  # theta 2*pi*n/omega after a lift-off from rest
+            s, half, rise = TWO_PI * n / omega, math.pi * n, math.asin(rho)
+            lag = 2.0 * c_force / omega**2 * math.cos(rise + half) * math.sin(half)
+            return (c_force / omega * math.cos(rise) - 0.5 * rho * c_force * s) * s - lag
+
+        n, found = 1, []
+        while theta(0.02, n) > 0.0 >= theta(0.99, n):
+            found.append((n, bisect(lambda rho: theta(rho, n), 0.02, 0.99)))
+            n += 1
+        return found
+
+    def test_hop_count_is_the_oracle_ceiling_away_from_each_boundary(
+        self, reference_robot, reference_motor
+    ):
+        omega = reference_motor.speed
+        found = self.boundaries(coefficients(reference_robot, reference_motor)[0], omega)
+        assert len(found) > 10
+        for n, rho in found:
+            for side, hops in ((1.0 + 1e-3, n), (1.0 - 1e-3, n + 1)):
+                robot = at_rho(reference_robot, reference_motor, rho * side)
+                c_force, c_grav = coefficients(robot, reference_motor)
+                rise = math.asin(c_grav / c_force)
+                duration, _ = flight_events(c_force, c_grav, omega, rise, 0.0, 40.0 / omega * n)
+                assert math.ceil(duration * omega / TWO_PI) == hops, (n, rho, side)
+                flight = regime2._Flight(c_force, c_grav, omega, 0.0)
+                assert flight.land(flight.lift_off(0), math.inf)[0] == hops, (n, rho, side)
+
+    def test_no_lift_off_before_the_last_touchdown_within_ulps_of_a_boundary(
+        self, reference_robot, reference_motor
+    ):
+        # the touchdown lies within ulps of the next lift-off, n or n + 1
+        # periods after the last: the sum lift_off + duration may round past it
+        period = reference_motor.period
+        omega = reference_motor.speed
+        found = self.boundaries(coefficients(reference_robot, reference_motor)[0], omega)
+        ties = 0
+        for n, rho in found:
+            arm = at_rho(reference_robot, reference_motor, rho).gravity_arm
+            for _ in range(20):
+                arm = math.nextafter(arm, 0.0)
+            cfg = SimConfig((3 * n + 8) * period, period / 200.0, 0.0, 10**6)
+            for _ in range(41):
+                robot = reference_robot._replace(gravity_arm=arm)
+                flight = regime2._Flight(*coefficients(robot, reference_motor), omega, 0.0)
+                assert flight.land(flight.lift_off(0), math.inf)[0] in (n, n + 1)
+                cycles = regime2.stream(robot, reference_motor, cfg).cycles
+                assert len(cycles) >= 3
+                for last, cycle in zip(cycles, cycles[1:]):
+                    assert cycle.lift_off >= last.touchdown, (n, arm)
+                    ties += cycle.lift_off - last.touchdown <= 4.0 * math.ulp(cycle.lift_off)
+                arm = math.nextafter(arm, 1.0)
+        assert ties > 500
 
 
 class TestModelDomain:
@@ -908,14 +987,39 @@ class TestSteadySpeed:
         calls, land = [], regime2._Flight.land
 
         def counted(flight, lift_off, limit):
-            calls.append((flight.terms[4], lift_off, limit))
-            return land(flight, lift_off, limit)
+            calls.append(((flight.terms[4], lift_off, limit), land(flight, lift_off, limit)))
+            return calls[-1][1]
 
         monkeypatch.setattr(regime2._Flight, "land", counted)
-        regime2.steady_speed(reference_robot, reference_motor)
+        speed = regime2.steady_speed(reference_robot, reference_motor)
         horizon = regime2.MAX_GRID_STEPS / 200 * reference_motor.period
-        ((theta0, lift_off, limit),) = calls
+        (((theta0, lift_off, limit), (n, peak, _)),) = calls
         assert theta0 == 0.0 and lift_off < reference_motor.period and limit == horizon
+        # one hop per 2 periods, as test_speed_is_the_x_gained_per_hop_time has it
+        assert n == 2
+        step = regime2.step_displacement(reference_robot, peak)
+        assert speed == step / (2 * reference_motor.period)
+
+    # steady_speed reads the hop count n and the peak, not the touchdown
+    # time: land asks root for the touchdown only in a bracket that starts
+    # before _MIN_FLIGHT_FRACTION*T, the one place a flight can be too short
+    # to be a cycle.
+    def test_finds_no_touchdown_time(self, reference_robot, reference_motor, monkeypatch):
+        rng = np.random.default_rng(3300)
+        cases = [(reference_robot, reference_motor)]
+        for _ in range(120):
+            motor = MotorParams(1e-3, 2e-3, rng.uniform(150.0, 2000.0))
+            cases.append((at_rho(reference_robot, motor, rng.uniform(0.05, 0.99)), motor))
+        peaks = 0
+        for robot, motor in cases:
+            flight, log, _ = recorded(*coefficients(robot, motor), motor.speed, 0.0)
+            calls = logged_roots(flight, log)
+            monkeypatch.setattr(regime2, "_flight", lambda *_: flight)
+            regime2.steady_speed(robot, motor)
+            brief = regime2._MIN_FLIGHT_FRACTION * motor.period
+            assert all(peak or lo < brief for (lo, *_, peak), _, _ in calls), calls
+            peaks += sum(peak for (*_, peak), _, _ in calls)
+        assert peaks >= len(cases)
 
 
 class TestRecording:
