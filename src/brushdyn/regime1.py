@@ -92,7 +92,7 @@ def return_time(brush: BrushParams) -> float:
 
 
 def optimal_motor_speed(brush: BrushParams) -> float:
-    """Displacement-maximizing motor speed; equals the brush natural frequency."""
+    """Displacement-maximizing motor speed omega_n; predict-r1 there is resonant (exit 3)."""
     return natural_frequency(brush)
 
 
@@ -173,7 +173,7 @@ class Regime1Prediction(NamedTuple):
     I_theta    kg*m^2, lumped inertia coefficient
     omega_n    rad/s, natural frequency
     t_bar      s, return time pi/(2*omega_n)
-    omega_star rad/s, displacement-maximizing motor speed (equals omega_n)
+    omega_star rad/s, displacement-maximizing motor speed omega_n (inside RESONANCE_GUARD)
     theta_hat  rad, forced oscillation amplitude at the motor speed
     delta      m, step per motor revolution
     v_r        m/s, predicted ground speed

@@ -12,17 +12,17 @@ so the steady speed is h*sin(peak)/(n*T) with one hop from rest per n periods:
 theta falls to zero in forcing half-period 2n - 1 or 2n after the lift-off.
 
 The solver is exact and event-driven: theta_ddot = c_f*sin(omega*t) - c_g
-depends on time only, so flights have a closed form, and every lift-off from
-rest is at the forcing phase asin(c_g/c_f), so all flights from rest are one
-flight shifted by whole periods. One inlined Newton kernel finds peaks and
-touchdowns from phases fitted in rho = c_g/c_f for a flight from rest, in ~4
-evaluations each (once converged it gallops out of rounding noise), to float
-resolution away from the lift-off threshold; the closed form cancels as rho
-nears 1, so the steady peak is off by ~1e-9 (relative) at rho = 1 - 1e-4 and
-by 8-11 % at rho = 1 - 1e-8 (omega = 300 rad/s with c_g = 73.575, c_f = 50 or
-c_f = 270 rad/s^2). dt only sets the sampling grid; ``stream`` yields the
-samples one block of at most _BLOCK at a time. Limit: exact only while the
-moments do not depend on theta (fixed moment arms).
+depends on time only, so a flight has a closed form in the forcing phase
+u = omega*s since its lift-off. Every lift-off from rest is at the phase
+asin(rho), rho = c_g/c_f, so the flights from rest are one flight shifted by
+whole periods, whose phases, hop count and peak/swing (swing = c_f/omega^2)
+depend on rho alone. One inlined Newton kernel finds the phases of peaks and
+touchdowns from phases fitted in rho, in ~4 evaluations each (once converged
+it gallops out of rounding noise), to float resolution away from the lift-off
+threshold; the closed form cancels as rho nears 1, so the steady peak is off by
+~1e-9 (relative) at rho = 1 - 1e-4 and by 6-9 % at rho = 1 - 1e-8 (c_f = 50 or
+270 rad/s^2, omega = 300 rad/s). dt only sets the sampling grid; ``stream``
+yields its samples in blocks of at most _BLOCK. Exact only for fixed moment arms.
 """
 
 from __future__ import annotations
@@ -100,17 +100,16 @@ class Regime2Trajectory(NamedTuple):
     end: tuple[float, float]
 
 
-def _starts(rho: float, omega: float) -> tuple[tuple, tuple]:
-    """Newton's first points (touchdowns, theta_dot roots) for a flight from
-    rest at rho = c_g/c_f in [0.05, 1): times u/omega, u fitted to the phase
-    of each root to 5e-5 (relative). Rationals in x = sqrt(1 - rho) give the
-    first peak and, at rho >= 0.25, the touchdown; at rho in [0.14, 0.21],
-    where theta rises twice before it lands (the touchdown jumps a hump at
-    rho ~ 0.2173 and ~ 0.1288), one polynomial in -+sqrt(0.21723363 - rho)
-    gives the first trough and the second peak, and a rational in rho the
-    touchdown."""
+def _starts(rho: float) -> tuple[tuple, tuple]:
+    """Newton's first points (touchdowns, theta' roots) for a flight from rest at
+    rho = c_g/c_f in [0.05, 1): phases since lift-off, each fitted to its root to 5e-5
+    (relative). Rationals in x = sqrt(1 - rho) give the first peak and, at rho >= 0.25,
+    the touchdown; at rho in [0.14, 0.21], where theta rises twice before it lands (the
+    touchdown jumps a hump at rho ~ 0.2173 and ~ 0.1288), one polynomial in
+    -+sqrt(0.21723363 - rho) gives the first trough and the second peak, and a rational
+    in rho the touchdown."""
     x = math.sqrt(1.0 - rho)
-    scale = x / (rho * omega)
+    scale = x / rho
     peak = 4.2427078 + x * (-6.3076059 + x * (-1.5054631 + x * (5.2951956 - 1.7247491 * x)))
     peak *= scale / (1.0 + x * (-1.4857565 + x * (0.48480704 + 0.029269407 * x)))
     if rho >= 0.25:
@@ -124,33 +123,33 @@ def _starts(rho: float, omega: float) -> tuple[tuple, tuple]:
     odd = w * (4.293196 + w * w * (3.14305 + 10.60137 * w * w))
     t = rho - 0.175
     down = 11.88564 + t * (-346.0636 + t * (-2212.778 + t * (93735.52 - 183898.5 * t)))
-    down /= (1.0 + t * (-26.01208 + t * (-267.2521 + 7364.755 * t))) * omega
-    return (down,), (peak, (even - odd) / omega, (even + odd) / omega)
+    down /= 1.0 + t * (-26.01208 + t * (-267.2521 + 7364.755 * t))
+    return (down,), (peak, even - odd, even + odd)
 
 
 class _Flight:
-    """Closed-form flight from (theta0, rate 0), s the time since lift-off:
-    from rest (theta0 = 0) it lifts off at the forcing phase rise, else at
-    phase 0."""
+    """Closed-form flight from (theta0, rate 0) in the phase u = omega*s, s the time since
+    lift-off: theta = theta0 + (rate0 - drop*u/2)*u - swing*(sin(psi0 + u) - sin psi0),
+    rate0 = swing*cos psi0, swing = c_f/omega^2, drop = c_g/omega^2, theta' = d theta/du;
+    psi0 is rise from rest, else 0. lift_off(k, u) is the time at phase u past lift-off k."""
 
     def __init__(self, c_force, c_grav, omega, theta0):
         self.lifts = lifts = c_grav < c_force  # else theta_ddot <= 0 at every phase
         self.rise = math.asin(c_grav / c_force) if lifts else 0.0
         self.psi0 = psi0 = 0.0 if theta0 > 0.0 else self.rise
-        self.omega, force_omega = omega, c_force / omega
-        self.terms = (c_force, c_grav, omega, psi0, theta0, math.sin(psi0),
-                      force_omega * math.cos(psi0), c_force / omega**2, force_omega)
+        self.omega, swing, drop = omega, c_force / omega**2, c_grav / omega**2
+        self.terms = (swing, drop, psi0, theta0, math.sin(psi0), swing * math.cos(psi0))
         rest = theta0 == 0.0 and lifts and c_grav >= 0.05 * c_force  # else midpoints only
-        self.starts = _starts(c_grav / c_force, omega) if rest else ((), ())
+        self.starts = _starts(c_grav / c_force) if rest else ((), ())
 
-    def lift_off(self, k: int) -> float:
-        return (TWO_PI * k + self.psi0) / self.omega
+    def lift_off(self, k: int, u: float = 0.0) -> float:
+        return (TWO_PI * k + self.psi0 + u) / self.omega
 
     def root(self, lo: float, hi: float, angle: float, above: bool, peak: bool) -> tuple:
         """(r, theta(r)), r the end on hi's side of the adjacent floats around
-        the root of f = theta_dot (peak) or theta in (lo, hi), above = f(lo) > 0
-        and angle = theta(hi). Newton steps on f, with f and its slope inline
-        from one phase, start from the first of self.starts[peak] inside
+        the root of f = theta' (peak) or theta in the phases (lo, hi), above =
+        f(lo) > 0 and angle = theta(hi). Newton steps on f, with f and its slope
+        inline from one phase, start from the first of self.starts[peak] inside
         (lo, hi), else the midpoint, and aim at their bare estimates; f is
         evaluated only inside (lo, hi). An estimate that rounds onto an end
         tries that end's neighbour next. x gallops from its end toward the
@@ -161,7 +160,7 @@ class _Flight:
         point bisects. The cost stays at most about twice bisection's, on flat
         stretches too."""
         sin, cos, ulp = math.sin, math.cos, math.ulp
-        c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
+        swing, drop, psi0, theta0, sin0, rate0 = self.terms
         x, half, reach, top, last = lo, 0.5 * (hi - lo), 2.0, None, math.nan  # top: sine at hi
         for x in self.starts[peak]:
             if lo < x < hi:
@@ -170,17 +169,17 @@ class _Flight:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 if top is not None:  # hi was evaluated here
-                    angle = theta0 + (rate0 - 0.5 * c_grav * hi) * hi - swing * (top - sin0)
+                    angle = theta0 + (rate0 - 0.5 * drop * hi) * hi - swing * (top - sin0)
                 return hi, angle
             if not lo < x < hi:
                 x, half = mid, 0.5 * (hi - lo)
-            phase = psi0 + omega * x
+            phase = psi0 + x
             sine = sin(phase)
-            rate = rate0 - force_omega * cos(phase) - c_grav * x
+            rate = rate0 - swing * cos(phase) - drop * x
             if peak:
-                value, d = rate, c_force * sine - c_grav
+                value, d = rate, swing * sine - drop
             else:
-                value = theta0 + (rate0 - 0.5 * c_grav * x) * x - swing * (sine - sin0)
+                value = theta0 + (rate0 - 0.5 * drop * x) * x - swing * (sine - sin0)
                 d = rate
             if (value > 0.0) == above:
                 lo, far = x, hi
@@ -197,46 +196,48 @@ class _Flight:
                 reach *= 2.0
             last = value
 
-    def land(self, lift_off: float, limit: float) -> tuple[int, float | None, tuple | None]:
-        """(n, peak, bracket): theta falls to zero in bracket = (p, q, theta(q),
-        theta(p) > 0), root's arguments for the touchdown, in the half-period up
-        to turn j, at phase (rise, pi - rise)[j % 2] + 2*pi*(j // 2); the moment
-        next rises through zero at phase rise + 2*pi*n, n = (j + 1) // 2. root
-        finds the peak, the larger of theta0 and theta at its maxima: theta_ddot
-        changes sign only at the turns, theta is monotone between zeros of
-        theta_dot; values at bracket ends carry over. No bracket if airborne at
-        ``limit``; the peak is None then and for a flight too short for a cycle,
-        else in [0, pi/2): ModelDomainError names the bisected time of pi/2."""
-        c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = self.terms
-        lifts, rise, brief = self.lifts, self.rise, _MIN_FLIGHT_FRACTION * (TWO_PI / omega)
-        peak = angle = theta0  # theta(0) is theta0 and theta_dot(0) 0.0 exactly
+    def land(self, k: int, limit: float) -> tuple[int, float | None, tuple | None]:
+        """(n, peak, bracket) of lift-off k up to the phase ``limit``: theta falls to zero
+        in bracket = (p, q, theta(q), theta(p) > 0), root's arguments for the touchdown,
+        in the half-period up to turn j at (rise, pi - rise)[j % 2] + 2*pi*(j // 2); the
+        moment next rises through zero at rise + 2*pi*n, n = (j + 1) // 2. root finds the
+        peak, the larger of theta0 and theta at its maxima: theta'' changes sign only at
+        the turns, theta is monotone between zeros of theta'; values at bracket ends carry
+        over. No bracket if airborne at ``limit``; the peak is None then and for a flight
+        shorter than brief = 2*pi*_MIN_FLIGHT_FRACTION, else in [0, pi/2). A bracket from
+        before brief comes closed on its root. ModelDomainError names the time of pi/2."""
+        swing, drop, psi0, theta0, sin0, rate0 = self.terms
+        lifts, rise, brief = self.lifts, self.rise, _MIN_FLIGHT_FRACTION * TWO_PI
+        peak = angle = theta0  # theta(0) is theta0 and theta'(0) 0.0 exactly
         p, v_p, index = 0.0, 0.0, 0 if psi0 < rise else 1  # the first turn after psi0
         while p < limit:
             q = limit
             if lifts:
                 turn = (rise, math.pi - rise)[index % 2] + TWO_PI * (index // 2)
-                q = min(q, (turn - psi0) / omega)
+                q = min(q, turn - psi0)
                 index += 1
-            phase = psi0 + omega * q  # theta and theta_dot at q
-            a_q = theta0 + (rate0 - 0.5 * c_grav * q) * q - swing * (math.sin(phase) - sin0)
-            v_q = rate0 - force_omega * math.cos(phase) - c_grav * q
+            phase = psi0 + q  # theta and theta' at q
+            a_q = theta0 + (rate0 - 0.5 * drop * q) * q - swing * (math.sin(phase) - sin0)
+            v_q = rate0 - swing * math.cos(phase) - drop * q
             pieces = ((q, v_p > 0.0 or v_q > 0.0, a_q),)
             if v_p > 0.0 > v_q or v_p < 0.0 < v_q:
                 r, a_r = self.root(p, q, a_q, v_p > 0.0, True)
                 pieces = ((r, v_p > 0.0, a_r), (q, v_q > 0.0, a_q))
             for q, rising, end_angle in pieces:  # theta is monotone on [p, q]
                 start, angle = angle, end_angle
-                if not rising and angle <= 0.0:
-                    bracket = (p, q, angle, start > 0.0)  # root's r > p: short needs p < brief
-                    short = p < brief and self.root(*bracket, False)[0] < brief
-                    return index // 2, None if short else peak, bracket
+                if not rising and angle <= 0.0:  # root's r > p: only p < brief can be short
+                    if p < brief:  # root it here, and hand back the bracket closed on r
+                        q, angle = self.root(p, q, angle, start > 0.0, False)
+                        p, peak = math.nextafter(q, -math.inf), None if q < brief else peak
+                    return index // 2, peak, (p, q, angle, start > 0.0)
                 if rising and angle >= MAX_BODY_ANGLE:  # theta rises through pi/2 on (p, q]
                     while p < (s := 0.5 * (p + q)) < q:
-                        sine = math.sin(psi0 + omega * s)
-                        up = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
+                        sine = math.sin(psi0 + s)
+                        up = theta0 + (rate0 - 0.5 * drop * s) * s - swing * (sine - sin0)
                         p, q = (p, s) if up >= MAX_BODY_ANGLE else (s, q)
-                    raise ModelDomainError(f"body angle exceeds pi/2 at t = {lift_off + q:.6g} s")
-                if rising and v_q <= 0.0 and angle > peak:  # theta_dot(q) is on v_q's side
+                    raise ModelDomainError(
+                        f"body angle exceeds pi/2 at t = {self.lift_off(k, q):.6g} s")
+                if rising and v_q <= 0.0 and angle > peak:  # theta'(q) is on v_q's side
                     peak = angle
                 p = q
             v_p = v_q
@@ -271,12 +272,12 @@ def _flights(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Iterator
     if steps > MAX_GRID_STEPS:
         raise ValidationError(f"t_end / dt exceeds {MAX_GRID_STEPS:.6g} grid steps")
 
-    end, at_rest, k = steps * cfg.dt, 0.0, 0
+    end, at_rest, k, omega = steps * cfg.dt, 0.0, 0, motor.speed
     if cfg.theta0 > 0.0:
         flight = _flight(robot, motor, cfg.theta0)
-        k, peak, bracket = flight.land(0.0, end)  # a touchdown is at most end
-        at_rest = math.inf if bracket is None else flight.root(*bracket, False)[0]
-        yield flight, 0.0, at_rest, peak
+        k, peak, bracket = flight.land(0, omega * end)
+        at_rest = math.inf if bracket is None else flight.root(*bracket, False)[0] / omega
+        yield (flight, 0.0, at_rest, peak) if at_rest <= end else (flight, 0.0, math.inf, None)
     flight = _flight(robot, motor, 0.0)
     if not (flight.lifts and at_rest < end):
         return  # no lift-off from rest inside the window
@@ -284,8 +285,8 @@ def _flights(robot: RobotParams, motor: MotorParams, cfg: SimConfig) -> Iterator
     # Lift-offs from rest sit on the rising zeros (2*pi*k + rise)/omega of the net moment,
     # the first at or after at_rest: k = 0, or the tilted flight's n, at or after its bracket.
     t = flight.lift_off(k)
-    n, peak, bracket = flight.land(t, end - t)  # no bracket if t >= end
-    duration = math.inf if bracket is None else flight.root(*bracket, False)[0]
+    n, peak, bracket = flight.land(k, omega * (end - t))  # no bracket if t >= end
+    duration = math.inf if bracket is None else flight.root(*bracket, False)[0] / omega
     while t < end and t + duration <= end:
         yield flight, t, duration, peak
         k += n + (flight.lift_off(k + n) < t + duration)  # t + duration may round past it
@@ -320,19 +321,19 @@ def _blocks(cfg: SimConfig, flights: list, xs: Iterator[float]) -> Iterator[tupl
         touchdown = lift_off + duration
         for t in grid(lift_off):
             yield t, None, None, None, x
-        # the closed form of _Flight.land, with one sin per sample
-        c_force, c_grav, omega, psi0, theta0, sin0, rate0, swing, force_omega = flight.terms
-        top = math.inf if peak is None else peak
+        # the closed form of _Flight.land at u = omega*s, with one sin per sample
+        swing, drop, psi0, theta0, sin0, rate0 = flight.terms
+        omega, top = flight.omega, math.inf if peak is None else peak
         for t in grid(touchdown):
             theta, rate, accel = [], [], []
             for s in t:
-                s -= lift_off
-                phase = psi0 + omega * s
+                u = omega * (s - lift_off)
+                phase = psi0 + u
                 sine = sin(phase)
-                angle = theta0 + (rate0 - 0.5 * c_grav * s) * s - swing * (sine - sin0)
+                angle = theta0 + (rate0 - 0.5 * drop * u) * u - swing * (sine - sin0)
                 theta.append(0.0 if angle < 0.0 else angle if angle < top else top)
-                rate.append(rate0 - force_omega * cos(phase) - c_grav * s)
-                accel.append(c_force * sine - c_grav)
+                rate.append(omega * (rate0 - swing * cos(phase) - drop * u))
+                accel.append(omega * omega * (swing * sine - drop))
             yield t, theta, rate, accel, x
         if peak is not None:
             x = next(xs)
@@ -382,12 +383,11 @@ def step_displacement(robot: RobotParams, theta_hat: float) -> float:
 def steady_speed(robot: RobotParams, motor: MotorParams) -> float:
     """h*sin(peak)/(n*T), the steady speed ``stream`` implies: one step of the flight
     from rest per hop of n periods, n from the forcing half-period in which theta falls
-    to zero (_Flight.land). It lands that one flight, which no window enters, within
-    _HORIZON forcing periods. Raises ModelDomainError if the body tips over, and
+    to zero (_Flight.land), up to the phase _HORIZON*2*pi: no window enters, and the peak
+    and n depend on rho and swing alone. Raises ModelDomainError if the body tips over, and
     NoCompletedCycleError if it never lifts (c_g >= c_f) or is no cycle by the horizon."""
     flight = _flight(robot, motor, 0.0)
-    horizon = _HORIZON * motor.period
-    n, peak, _ = flight.land(flight.lift_off(0), horizon) if flight.lifts else (0, None, None)
+    n, peak, _ = flight.land(0, _HORIZON * TWO_PI) if flight.lifts else (0, None, None)
     if peak is None:
         raise NoCompletedCycleError(f"no flight from rest lands within {_HORIZON:g} periods")
     return step_displacement(robot, peak) / (n * motor.period)

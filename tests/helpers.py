@@ -323,7 +323,8 @@ def from_rest_phases(rho: float):
     fine against the flight length and bisected to float resolution.
 
     Independent route to regime2._starts, which fits these phases, and to
-    the library's closed form in time, which cancels as rho nears 1.
+    the library's closed form, in u too but arranged so that it cancels as
+    rho nears 1.
     """
     c = math.sqrt((1.0 - rho) * (1.0 + rho))
 
@@ -350,12 +351,13 @@ def from_rest_phases(rho: float):
 # ---------------------------------------------------------------------------
 # closed-form count oracle for the flights in a regime-2 window
 
-def landing(flight, lift_off: float, limit: float) -> tuple:
-    """(duration, peak) of a regime2._Flight as regime2._flights finds them:
-    land's peak, and root's touchdown in land's bracket (math.inf without
-    one)."""
-    _, peak, bracket = flight.land(lift_off, limit)
-    return (math.inf if bracket is None else flight.root(*bracket, False)[0]), peak
+def landing(flight, k: int, limit: float) -> tuple:
+    """(duration, peak) of lift-off k of a regime2._Flight followed for
+    ``limit`` seconds, as regime2._flights finds them: land's peak, and root's
+    touchdown phase in land's bracket over omega (math.inf without one)."""
+    omega = flight.omega
+    _, peak, bracket = flight.land(k, omega * limit)
+    return (math.inf if bracket is None else flight.root(*bracket, False)[0] / omega), peak
 
 
 def count_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
@@ -388,7 +390,7 @@ def count_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
     flights, at_rest = [], 0.0
     if cfg.theta0 > 0.0:
         tilted = regime2._Flight(c_force, c_grav, omega, cfg.theta0)
-        flights.append(flight(0.0, landing(tilted, 0.0, end)))
+        flights.append(flight(0.0, landing(tilted, 0, end)))
         at_rest = flights[0][1]
     if not (c_grav < c_force and at_rest < end):
         return flights
@@ -400,8 +402,7 @@ def count_flights(robot: RobotParams, motor: MotorParams, cfg) -> list:
     first = max(0, math.ceil((omega * at_rest - rise) / (2.0 * math.pi)))
     if not lift_off(first) < end:
         return flights
-    rest = landing(regime2._Flight(c_force, c_grav, omega, 0.0),
-                   lift_off(first), end - lift_off(first))
+    rest = landing(regime2._Flight(c_force, c_grav, omega, 0.0), first, end - lift_off(first))
     duration = rest[0]
     if duration == math.inf:
         return flights + [flight(lift_off(first), rest)]
