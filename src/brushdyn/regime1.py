@@ -91,11 +91,6 @@ def return_time(brush: BrushParams) -> float:
     return math.pi / (2.0 * natural_frequency(brush))
 
 
-def optimal_motor_speed(brush: BrushParams) -> float:
-    """Displacement-maximizing motor speed omega_n; predict-r1 there is resonant (exit 3)."""
-    return natural_frequency(brush)
-
-
 def stick_phase_angle(brush: BrushParams, motor: MotorParams) -> float:
     """Brush angle swept during the stick phase at peak force, rad.
 
@@ -197,7 +192,7 @@ def predict(brush: BrushParams, motor: MotorParams) -> Regime1Prediction:
         I_theta=lumped_inertia(brush),
         omega_n=natural_frequency(brush),
         t_bar=return_time(brush),
-        omega_star=optimal_motor_speed(brush),
+        omega_star=natural_frequency(brush),
         theta_hat=forced_amplitude(brush, motor),
         delta=step_displacement(brush, motor),
         v_r=ground_speed(brush, motor),

@@ -16,13 +16,14 @@ depends on time only, so a flight has a closed form in the forcing phase
 u = omega*s since its lift-off. Every lift-off from rest is at the phase
 asin(rho), rho = c_g/c_f, so the flights from rest are one flight shifted by
 whole periods, whose phases, hop count and peak/swing (swing = c_f/omega^2)
-depend on rho alone. One inlined Newton kernel finds the phases of peaks and
-touchdowns from phases fitted in rho, in ~4 evaluations each (once converged
-it gallops out of rounding noise), to float resolution away from the lift-off
-threshold; the closed form cancels as rho nears 1, so the steady peak is off by
-~1e-9 (relative) at rho = 1 - 1e-4 and by 6-9 % at rho = 1 - 1e-8 (c_f = 50 or
-270 rad/s^2, omega = 300 rad/s). dt only sets the sampling grid; ``stream``
-yields its samples in blocks of at most _BLOCK. Exact only for fixed moment arms.
+depend on rho alone. One inlined Newton kernel finds the phases of peaks, from
+phases fitted in rho in ~4 evaluations, and of touchdowns, found once per
+window, from the bracket's midpoint in ~8 (once converged it gallops out of
+rounding noise), to float resolution away from the lift-off threshold; the
+closed form cancels as rho nears 1, so the steady peak is off by ~1e-9
+(relative) at rho = 1 - 1e-4 and by 6-9 % at rho = 1 - 1e-8 (c_f = 50 or 270
+rad/s^2, omega = 300 rad/s). dt only sets the sampling grid; ``stream`` yields
+its samples in blocks of at most _BLOCK. Exact only for fixed moment arms.
 """
 
 from __future__ import annotations
@@ -100,31 +101,21 @@ class Regime2Trajectory(NamedTuple):
     end: tuple[float, float]
 
 
-def _starts(rho: float) -> tuple[tuple, tuple]:
-    """Newton's first points (touchdowns, theta' roots) for a flight from rest at
-    rho = c_g/c_f in [0.05, 1): phases since lift-off, each fitted to its root to 5e-5
-    (relative). Rationals in x = sqrt(1 - rho) give the first peak and, at rho >= 0.25,
-    the touchdown; at rho in [0.14, 0.21], where theta rises twice before it lands (the
-    touchdown jumps a hump at rho ~ 0.2173 and ~ 0.1288), one polynomial in
-    -+sqrt(0.21723363 - rho) gives the first trough and the second peak, and a rational
-    in rho the touchdown."""
+def _starts(rho: float) -> tuple:
+    """Newton's first points for the theta' roots of a flight from rest at rho = c_g/c_f
+    in [0.05, 1): phases since lift-off, each fitted to its root to 5e-5 (relative). A
+    rational in x = sqrt(1 - rho) gives the first peak; at rho in [0.14, 0.21], where
+    theta rises twice before it lands, one polynomial in -+sqrt(0.21723363 - rho) gives
+    the first trough and the second peak. A touchdown, found once per window, has none."""
     x = math.sqrt(1.0 - rho)
-    scale = x / rho
     peak = 4.2427078 + x * (-6.3076059 + x * (-1.5054631 + x * (5.2951956 - 1.7247491 * x)))
-    peak *= scale / (1.0 + x * (-1.4857565 + x * (0.48480704 + 0.029269407 * x)))
-    if rho >= 0.25:
-        down = 5.6568662 + x * (-8.9190777 + x * (-1.873952 + x * (7.3071527 - 2.1905883 * x)))
-        down *= scale / (1.0 + x * (-1.5764918 + x * (0.44903894 + 0.07499999 * x)))
-        return (down,), (peak,)
+    peak *= x / rho / (1.0 + x * (-1.4857565 + x * (0.48480704 + 0.029269407 * x)))
     if not 0.14 <= rho <= 0.21:
-        return (), (peak,)
+        return (peak,)
     w = math.sqrt(0.21723363 - rho)
     even = 8.98694 + w * w * (1.353238 + 0.8085553 * w * w)
     odd = w * (4.293196 + w * w * (3.14305 + 10.60137 * w * w))
-    t = rho - 0.175
-    down = 11.88564 + t * (-346.0636 + t * (-2212.778 + t * (93735.52 - 183898.5 * t)))
-    down /= 1.0 + t * (-26.01208 + t * (-267.2521 + 7364.755 * t))
-    return (down,), (peak, even - odd, even + odd)
+    return peak, even - odd, even + odd
 
 
 class _Flight:
@@ -140,7 +131,7 @@ class _Flight:
         self.omega, swing, drop = omega, c_force / omega**2, c_grav / omega**2
         self.terms = (swing, drop, psi0, theta0, math.sin(psi0), swing * math.cos(psi0))
         rest = theta0 == 0.0 and lifts and c_grav >= 0.05 * c_force  # else midpoints only
-        self.starts = _starts(c_grav / c_force) if rest else ((), ())
+        self.starts = _starts(c_grav / c_force) if rest else ()
 
     def lift_off(self, k: int, u: float = 0.0) -> float:
         return (TWO_PI * k + self.psi0 + u) / self.omega
@@ -149,8 +140,8 @@ class _Flight:
         """(r, theta(r)), r the end on hi's side of the adjacent floats around
         the root of f = theta' (peak) or theta in the phases (lo, hi), above =
         f(lo) > 0 and angle = theta(hi). Newton steps on f, with f and its slope
-        inline from one phase, start from the first of self.starts[peak] inside
-        (lo, hi), else the midpoint, and aim at their bare estimates; f is
+        inline from one phase, start from the first of self.starts inside
+        (lo, hi) for a peak, else the midpoint, and aim at their bare estimates; f is
         evaluated only inside (lo, hi). An estimate that rounds onto an end
         tries that end's neighbour next. x gallops from its end toward the
         other, by 2, 4, 8, ... ulps over the call, when f repeats its last
@@ -162,7 +153,7 @@ class _Flight:
         sin, cos, ulp = math.sin, math.cos, math.ulp
         swing, drop, psi0, theta0, sin0, rate0 = self.terms
         x, half, reach, top, last = lo, 0.5 * (hi - lo), 2.0, None, math.nan  # top: sine at hi
-        for x in self.starts[peak]:
+        for x in self.starts if peak else ():
             if lo < x < hi:
                 break
         while True:

@@ -37,14 +37,6 @@ REFERENCE_MOTOR = dict(eccentric_mass=1e-3, eccentricity=2e-3, speed=300.0)
 REFERENCE_PEAK = 0.008650108980828084
 
 
-def reference_robot() -> RobotParams:
-    return RobotParams(**REFERENCE_ROBOT)
-
-
-def reference_motor() -> MotorParams:
-    return MotorParams(**REFERENCE_MOTOR)
-
-
 def random_brush(rng: np.random.Generator) -> BrushParams:
     return BrushParams(
         young_modulus=10 ** rng.uniform(6.0, 10.0),
@@ -312,7 +304,7 @@ def _series(u: float, term: float, k: int) -> float:
 
 
 def from_rest_phases(rho: float):
-    """(touchdown, theta_dot roots before it) of the flight from rest at
+    """The theta_dot roots before the touchdown of the flight from rest at
     rho = c_g/c_f < 1, as phases u = omega*s after lift-off.
 
     The dimensionless flight in u-form, with c = sqrt(1 - rho^2):
@@ -320,11 +312,13 @@ def from_rest_phases(rho: float):
     theta ~ c*(u - sin u) - rho*(u^2/2 - (1 - cos u)), with 1 - cos u as
     2 sin^2(u/2) and both u - sin u and u^2/2 - (1 - cos u) summed as series
     below u = 1, so that nothing cancels. Sign changes are scanned on a grid
-    fine against the flight length and bisected to float resolution.
+    fine against the flight length and bisected to float resolution; the
+    first sign change of theta ends the scan.
 
-    Independent route to regime2._starts, which fits these phases, and to
-    the library's closed form, in u too but arranged so that it cancels as
-    rho nears 1.
+    Independent route to regime2._starts, which fits these phases (a
+    touchdown starts at its bracket's midpoint, with no fit), and to the
+    library's closed form, in u too but arranged so that it cancels as rho
+    nears 1.
     """
     c = math.sqrt((1.0 - rho) * (1.0 + rho))
 
@@ -344,7 +338,7 @@ def from_rest_phases(rho: float):
         if (rate(u) > 0.0) != (rate(u + step) > 0.0):
             turns.append(bisect(rate, u, u + step))
         if theta(u + step) <= 0.0:
-            return bisect(theta, u, u + step), turns
+            return turns
         u += step
 
 

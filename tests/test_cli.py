@@ -773,7 +773,6 @@ class TestEntryPoint:
         speed = regime2.steady_speed(reference_robot, reference_motor)
         assert capsys.readouterr().out.splitlines() == [
             str(regime1.predict(brush, reference_motor)),
-            str(regime1.optimal_motor_speed(brush)),
             f"{len(traj.cycles)} {peak}",
             str(speed),
         ]

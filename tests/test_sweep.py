@@ -23,7 +23,7 @@ from brushdyn.sweep import (
     run_sweep,
 )
 
-from helpers import random_brush, random_motor, reference_robot, rows
+from helpers import random_brush, random_motor, rows
 
 
 class TestSweepSpec:
@@ -108,10 +108,11 @@ class TestConstantPairs:
     @pytest.mark.parametrize("objective", list(OBJECTIVES))
     @pytest.mark.parametrize("parameter", list(PARAMETERS))
     def test_a_pair_is_refused_exactly_when_its_objective_cannot_move(self, parameter,
-                                                                       objective):
+                                                                       objective,
+                                                                       reference_robot):
         rng = np.random.default_rng(1330)
         (evaluate, _), (_, apply) = OBJECTIVES[objective], PARAMETERS[parameter]
-        robot, pairs = reference_robot(), []
+        robot, pairs = reference_robot, []
         for _ in range(20):
             brush, motor = random_brush(rng), random_motor(rng)
             value = VALUES[parameter](brush, motor)
@@ -191,21 +192,22 @@ class TestRunSweep:
         assert result.rows[1].objective is None
         assert result.argmax in (result.rows[0].value, result.rows[2].value)
 
-    def test_regime2_objective_flags_quiet_points(self, brush, reference_motor):
+    def test_regime2_objective_flags_quiet_points(self, brush, reference_motor, reference_robot):
         # at 100 rad/s the forcing moment never beats gravity: no cycles
         spec = SweepSpec("omega", "v_r_regime2", (100.0, 300.0))
-        result = run_sweep(spec, brush, reference_motor, reference_robot())
+        result = run_sweep(spec, brush, reference_motor, reference_robot)
         assert result.rows[0].status == STATUS_NO_CYCLES
         assert result.rows[1].status == STATUS_OK
         assert result.rows[1].objective > 0.0
         assert result.argmax == 300.0
 
-    def test_regime2_objective_passes_the_window_guards_by(self, brush, reference_motor):
+    def test_regime2_objective_passes_the_window_guards_by(self, brush, reference_motor,
+                                                           reference_robot):
         # the window is shorter than five forcing periods at 10 rad/s, and
         # its dt is above T/200 at 4000 rad/s; neither row reads invalid
         sim = SimConfig(t_end=0.5, dt=1e-4, record_stride=1000)
         spec = SweepSpec("omega", "v_r_regime2", (10.0, 300.0, 4000.0))
-        result = run_sweep(spec, brush, reference_motor, reference_robot(), sim)
+        result = run_sweep(spec, brush, reference_motor, reference_robot, sim)
         statuses = [row.status for row in result.rows]
         assert statuses == [STATUS_NO_CYCLES, STATUS_OK, STATUS_OK]  # 10 rad/s cannot lift
 
@@ -215,22 +217,24 @@ class TestRunSweep:
         SimConfig(1e300, 1e-4),
         SimConfig(1e-300, 1e-300),
     ], ids=["reference", "tilted-short", "huge", "tiny"])
-    def test_regime2_rows_are_the_same_under_any_window_and_none(self, brush, sim, reference_motor):
+    def test_regime2_rows_are_the_same_under_any_window_and_none(self, brush, sim, reference_motor,
+                                                                 reference_robot):
         # rows below lift-off, hops of 1 to ~340 periods, and tip-overs up to 5e4 rad/s
         spec = SweepSpec.from_range("omega", "v_r_regime2", 100.0, 5e4, 30, "log")
-        robot, motor = reference_robot(), reference_motor
+        robot, motor = reference_robot, reference_motor
         result = run_sweep(spec, brush, motor, robot, sim)
         assert result == run_sweep(spec, brush, motor, robot)
         statuses = {row.status for row in result.rows}
         assert statuses == {STATUS_NO_CYCLES, STATUS_OK, STATUS_MODEL_DOMAIN}
 
-    def test_regime2_objective_is_the_steady_hop_of_stream(self, brush, reference_motor):
+    def test_regime2_objective_is_the_steady_hop_of_stream(self, brush, reference_motor,
+                                                           reference_robot):
         # v_r_regime2 is the speed stream implies: h*sin(peak) per hop from
         # rest, over the time between the last two lift-offs from rest in its
         # events, on robots that hop once every n = 1 to 50 forcing periods
         rng = np.random.default_rng(31)
         objective, _ = OBJECTIVES["v_r_regime2"]
-        robot, motor = reference_robot(), reference_motor
+        robot, motor = reference_robot, reference_motor
         # the reference window, and the same with its last flight airborne
         cases = [(robot, motor, SimConfig(0.5, 1e-4)), (robot, motor, SimConfig(0.47, 1e-4))]
         for index in range(60):
@@ -260,12 +264,13 @@ class TestRunSweep:
             hops.add(round(gap / drawn_motor.period))
         assert min(hops) == 1 and max(hops) >= 50
 
-    def test_regime2_objective_needs_no_hop_from_rest_in_the_window(self, brush, reference_motor):
+    def test_regime2_objective_needs_no_hop_from_rest_in_the_window(self, brush, reference_motor,
+                                                                    reference_robot):
         # TestWindow's tilted flight lands alone; over 5.5 periods the flight
         # from rest after it is airborne at the window end. Neither window
         # holds a hop from rest, and the sweep row is the steady hop
         objective, _ = OBJECTIVES["v_r_regime2"]
-        robot, motor = reference_robot(), reference_motor
+        robot, motor = reference_robot, reference_motor
         period = motor.period
         steady = objective(brush, motor, robot)
         for periods in (5.0, 5.5):
@@ -287,10 +292,10 @@ class TestRunSweep:
         with pytest.raises(regime2.ModelDomainError):
             objective(brush, violent, runaway)
 
-    def test_regime2_point_airborne_at_the_horizon_is_no_cycles(self, brush):
+    def test_regime2_point_airborne_at_the_horizon_is_no_cycles(self, brush, reference_robot):
         # rho = c_g/c_f ~ 8e-7 at 1e5 rad/s: the flight from rest lifts off,
         # and would land ~4e5 periods later, past the 5e4-period horizon
-        robot = reference_robot()._replace(gravity_arm=1e-9)
+        robot = reference_robot._replace(gravity_arm=1e-9)
         motor = MotorParams(1e-9, 2e-3, 1e5)
         assert regime2._flight(robot, motor, 0.0).lifts
         with pytest.raises(regime2.NoCompletedCycleError, match="within 50000 periods"):
